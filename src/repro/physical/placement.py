@@ -8,14 +8,22 @@ matters for the paper's experiments: *the sinks of a broadcast net occupy an
 area proportional to their total resource demand*, so broadcast spread — and
 hence wire delay — grows with broadcast factor and buffer size.
 
-Two performance mechanisms ride on top of the greedy algorithm without
+Three performance mechanisms ride on top of the greedy algorithm without
 changing any placement decision:
 
+* **Indexed allocation**: every seat comes from
+  :meth:`~repro.physical.fabric.Occupancy.allocate` — the nearest free
+  capacity of the cell's column kind, ring by ring outward from the
+  desired tile, clockwise within a ring.  The occupancy keeps a bitmask
+  index of the tiles that still have room, so a ring that is already full
+  costs a few big-int operations rather than a walk over its tiles, and
+  the tiles come out in exactly the order a plain spiral walk visits them
+  (see :mod:`repro.physical.fabric`).
 * **Trajectory reuse** (incremental sweeps): :meth:`Placer.place` can
   record its greedy phase as a trajectory — per cell, the desired position
   and the exact tile chunks allocated — and a later run over a *similar*
   netlist replays matching prefix steps by re-taking the recorded chunks
-  directly, skipping the spiral free-capacity search.  The first
+  directly, skipping the free-capacity search.  The first
   mismatching step falls back to fresh allocation for the rest of the
   order, so reuse is bit-identical by construction (either the whole
   prefix matches — same occupancy state by induction — or it isn't used).
@@ -217,16 +225,8 @@ class Placer:
     #: Cells demanding more than this many tiles are deferred (see place()).
     BIG_CELL_TILES = 64
 
-    #: Refine implementation: ``"fast"`` (cached summaries + skip logic) or
-    #: ``"reference"`` (full recomputation every trial).  Both produce
-    #: bit-identical placements; the reference exists so tests can pin the
-    #: fast path's accepted-move behavior.
-    refine_engine = "fast"
-
-    #: Deduped adjacency per netlist, revalidated by (cells, nets) counts —
-    #: sound for this codebase because every netlist mutation (replication,
-    #: retiming, emission) adds or removes cells/nets, never rewires while
-    #: keeping both counts equal.
+    #: Deduped adjacency per netlist, valid while the netlist's structural
+    #: mutation counter (:attr:`Netlist.mutations`) is unchanged.
     _ADJACENCY_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
     def __init__(self, fabric: Fabric, seed: int = 2020) -> None:
@@ -432,19 +432,54 @@ class Placer:
         pass monotone per cell and avoids the displacement cascades a naive
         move-to-centroid sweep causes.
 
-        Dispatches on :attr:`refine_engine`; both engines accept the exact
-        same move sequence (the fast one only elides provably-identical
-        failed trials and caches neighborhood summaries).
+        Caches each cell's neighborhood summary in ``ctx`` and skips
+        trials that provably repeat an earlier failure (see
+        :class:`_RefineContext`); the accepted moves are exactly those a
+        full recomputation of every trial would accept.
         """
-        if self.refine_engine == "reference":
-            return self._refine_reference(
-                cells, neighbors, occupancy, placement, threshold
-            )
-        return self._refine_fast(
-            cells, neighbors, occupancy, placement,
-            ctx if ctx is not None else _RefineContext(),
-            threshold,
-        )
+        if ctx is None:
+            ctx = _RefineContext()
+        moved = 0
+        states = ctx.states
+        for cell in cells:
+            if cell.kind is CellKind.PORT:
+                continue
+            name = cell.name
+            st = states.get(name)
+            if st is None or name in ctx.dirty:
+                st = self._neighbor_state(name, neighbors, placement)
+                states[name] = st
+                ctx.dirty.discard(name)
+                ctx.fail_guard.pop(name, None)
+            if st.count == 0:
+                continue
+            if name in ctx.fail_guard:
+                # Provably-identical repeat of a failed trial: neighbors
+                # unmoved and the occupancy the failed search examined is
+                # untouched, so re-running it must fail again.
+                continue
+            before = {(x, y) for x, y, _u in self._chunks.get(name, ())}
+            accepted = self._refine_trial(cell, st, occupancy, placement, threshold)
+            if accepted is None:
+                continue
+            if accepted:
+                moved += 1
+                for nbr in neighbors[name]:
+                    ctx.dirty.add(nbr)
+                    ctx.fail_guard.pop(nbr, None)
+                ctx.fail_guard.pop(name, None)
+                # The move changed occupancy at the released old tiles and
+                # the taken new ones; failed searches that examined any of
+                # them could now resolve differently.
+                touched = before | {
+                    (x, y) for x, y, _u in self._chunks[name]
+                }
+                ctx.invalidate_tiles(touched)
+            else:
+                box = occupancy.last_search
+                if box is not None:
+                    ctx.fail_guard[name] = (box, frozenset(before))
+        return moved
 
     @staticmethod
     def _neighbor_state(
@@ -523,77 +558,6 @@ class Placer:
         placement.put(cell, x, y, old_radius)
         return False
 
-    def _refine_fast(
-        self,
-        cells: List[Cell],
-        neighbors: Dict[str, List[str]],
-        occupancy: Occupancy,
-        placement: Placement,
-        ctx: _RefineContext,
-        threshold: float = REFINE_OUTLIER_MIN,
-    ) -> int:
-        moved = 0
-        states = ctx.states
-        for cell in cells:
-            if cell.kind is CellKind.PORT:
-                continue
-            name = cell.name
-            st = states.get(name)
-            if st is None or name in ctx.dirty:
-                st = self._neighbor_state(name, neighbors, placement)
-                states[name] = st
-                ctx.dirty.discard(name)
-                ctx.fail_guard.pop(name, None)
-            if st.count == 0:
-                continue
-            if name in ctx.fail_guard:
-                # Provably-identical repeat of a failed trial: neighbors
-                # unmoved and the occupancy the failed search examined is
-                # untouched, so re-running it must fail again.
-                continue
-            before = {(x, y) for x, y, _u in self._chunks.get(name, ())}
-            accepted = self._refine_trial(cell, st, occupancy, placement, threshold)
-            if accepted is None:
-                continue
-            if accepted:
-                moved += 1
-                for nbr in neighbors[name]:
-                    ctx.dirty.add(nbr)
-                    ctx.fail_guard.pop(nbr, None)
-                ctx.fail_guard.pop(name, None)
-                # The move changed occupancy at the released old tiles and
-                # the taken new ones; failed searches that examined any of
-                # them could now resolve differently.
-                touched = before | {
-                    (x, y) for x, y, _u in self._chunks[name]
-                }
-                ctx.invalidate_tiles(touched)
-            else:
-                box = occupancy.last_search
-                if box is not None:
-                    ctx.fail_guard[name] = (box, frozenset(before))
-        return moved
-
-    def _refine_reference(
-        self,
-        cells: List[Cell],
-        neighbors: Dict[str, List[str]],
-        occupancy: Occupancy,
-        placement: Placement,
-        threshold: float = REFINE_OUTLIER_MIN,
-    ) -> int:
-        """Naive engine: rebuild every summary, attempt every trial."""
-        moved = 0
-        for cell in cells:
-            if cell.kind is CellKind.PORT:
-                continue
-            st = self._neighbor_state(cell.name, neighbors, placement)
-            if st.count == 0:
-                continue
-            if self._refine_trial(cell, st, occupancy, placement, threshold):
-                moved += 1
-        return moved
-
     # ------------------------------------------------------------------
     @staticmethod
     def _adjacency(netlist: Netlist) -> Dict[str, List[str]]:
@@ -605,10 +569,8 @@ class Placer:
         occurrence order is preserved (the DFS ordering depends on it).
         """
         cached = Placer._ADJACENCY_CACHE.get(netlist)
-        if cached is not None:
-            n_cells, n_nets, adj = cached
-            if n_cells == len(netlist.cells) and n_nets == len(netlist.nets):
-                return adj
+        if cached is not None and cached[0] == netlist.mutations:
+            return cached[1]
         adj: Dict[str, List[str]] = {name: [] for name in netlist.cells}
         seen: Dict[str, set] = {name: set() for name in netlist.cells}
         for net in netlist.nets.values():
@@ -621,9 +583,7 @@ class Placer:
                     if driver not in seen[sink.name]:
                         seen[sink.name].add(driver)
                         adj[sink.name].append(driver)
-        Placer._ADJACENCY_CACHE[netlist] = (
-            len(netlist.cells), len(netlist.nets), adj
-        )
+        Placer._ADJACENCY_CACHE[netlist] = (netlist.mutations, adj)
         return adj
 
     def _bfs_order(
@@ -688,7 +648,7 @@ class Placer:
         chunks: Tuple[Tuple[int, int, int], ...],
         occupancy: Occupancy,
     ) -> Optional[List[Tuple[int, int, int]]]:
-        """Re-take a recorded chunk list directly (no spiral search).
+        """Re-take a recorded chunk list directly (no free-capacity search).
 
         Returns ``None`` — releasing any partial takes — if the capacity is
         not exactly available, so the caller falls back to fresh allocation

@@ -23,6 +23,11 @@ Index ordering is load-bearing: per-cell pin lists are kept sorted by net
 exactly the iteration order the original scan-based queries produced.
 Strict-inequality argmax loops in the timing engine break ties by first-seen
 order, so preserving this order keeps results bit-for-bit identical.
+
+Every structural mutation also bumps :attr:`Netlist.mutations`, so caches
+derived from connectivity (the placer's adjacency lists) can tell a
+rewired netlist from an unchanged one even when its cell and net counts
+stay the same.
 """
 
 from __future__ import annotations
@@ -207,12 +212,27 @@ class Netlist:
         self._input_pins: Dict[str, List[Tuple[Net, str]]] = {}
         #: cell name -> [net, ...] driven by the cell, sorted by net seq.
         self._driver_nets: Dict[str, List[Net]] = {}
+        #: Structural mutation counter (process-local; not pickled).
+        self.mutations: int = 0
+
+    # The mutation counter is cache-validation state, not netlist content:
+    # pickles (stage artifacts, engine results) stay exactly as before, and
+    # an unpickled netlist starts a fresh count.
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("mutations", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.mutations = 0
 
     # -- construction ------------------------------------------------------
     def add_cell(self, cell: Cell) -> Cell:
         if cell.name in self.cells:
             raise RTLError(f"duplicate cell name {cell.name!r} in netlist {self.name!r}")
         self.cells[cell.name] = cell
+        self.mutations += 1
         self._input_pins.setdefault(cell.name, [])
         self._driver_nets.setdefault(cell.name, [])
         return cell
@@ -234,6 +254,7 @@ class Netlist:
         if net.driver.name not in self.cells:
             raise RTLError(f"net {net.name!r} driven by foreign cell {net.driver.name!r}")
         self.nets[net.name] = net
+        self.mutations += 1
         net._owner = self
         net._seq = self._net_counter
         self._net_counter += 1
@@ -247,6 +268,7 @@ class Netlist:
         net = self.nets.pop(name, None)
         if net is None:
             raise RTLError(f"cannot remove unknown net {name!r} from netlist {self.name!r}")
+        self.mutations += 1
         net._owner = None
         driven = self._driver_nets.get(net.driver.name)
         if driven is not None and net in driven:
@@ -269,6 +291,7 @@ class Netlist:
             nets = [n.name for n, _pin in self._input_pins[name]]
             raise RTLError(f"cannot remove cell {name!r}: still sinks {nets}")
         del self.cells[name]
+        self.mutations += 1
         self._input_pins.pop(name, None)
         self._driver_nets.pop(name, None)
         return cell
@@ -300,6 +323,7 @@ class Netlist:
         has seen); a late ``add_sink`` on an older net triggers a stable
         re-sort by net sequence to restore scan order.
         """
+        self.mutations += 1
         pins = self._input_pins.setdefault(cell.name, [])
         pins.append((net, pin))
         if len(pins) > 1 and pins[-2][0]._seq > net._seq:
@@ -312,6 +336,7 @@ class Netlist:
         new_sinks: List[Tuple[Cell, str]],
     ) -> None:
         """Rebuild per-cell pin lists after a whole-list sink replacement."""
+        self.mutations += 1
         affected = {cell.name for cell, _pin in old_sinks}
         affected.update(cell.name for cell, _pin in new_sinks)
         for cell_name in affected:
@@ -323,6 +348,7 @@ class Netlist:
             self._input_pins[cell_name] = pins
 
     def _reindex_driver(self, net: Net, old: Cell, new: Cell) -> None:
+        self.mutations += 1
         driven = self._driver_nets.get(old.name)
         if driven is not None and net in driven:
             driven.remove(net)
@@ -463,6 +489,7 @@ class Netlist:
         Returns a map from the other netlist's cell names to the absorbed
         cells so callers can stitch cross-netlist connections.
         """
+        self.mutations += 1
         mapping: Dict[str, Cell] = {}
         for cell in other.cells.values():
             clone = Cell(

