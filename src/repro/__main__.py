@@ -143,17 +143,16 @@ def _add_flow_options(parser, jobs: bool = True) -> None:
         "--stage-cache", choices=("on", "off"), default=None,
         metavar="{on,off}",
         help="stage-artifact caching under $REPRO_CACHE_DIR/stages "
-             "(default: on unless $REPRO_STAGE_CACHE=off); 'off' re-runs "
-             "every pipeline stage",
+             "(default: on); 'off' re-runs every pipeline stage",
     )
     parser.add_argument(
         "--incremental", choices=("on", "off"), default=None,
         metavar="{on,off}",
         help="incremental recompilation: per-loop scheduling/RTL memos, "
              "placement trajectory reuse, and stage-output early cutoff "
-             "across the runs of one sweep (default: on unless "
-             "$REPRO_INCREMENTAL=off); results are bit-identical either "
-             "way",
+             "across the runs of one sweep, spilled to "
+             "$REPRO_CACHE_DIR/memos (default: on); results are "
+             "bit-identical either way",
     )
     if jobs:
         parser.add_argument(
@@ -351,7 +350,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_events(args) -> int:
-    from repro.delay.cache import default_cache_dir
+    from repro.store import default_cache_dir
     from repro.obs.journal import follow_events, read_events
 
     path = args.path or os.path.join(

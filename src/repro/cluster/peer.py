@@ -27,7 +27,7 @@ from typing import Any, Callable, List, Optional
 from repro import obs
 from repro.obs.journal import EventJournal, emit_event
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.store import ResultStore, StoredResult
+from repro.service.store import DEFAULT_MAX_ENTRIES, ResultStore, StoredResult
 
 #: Peer fetches race against "just compile it instead": keep the
 #: worst-case stall (owner died between heartbeats) well under a compile.
@@ -46,14 +46,13 @@ class PeerResultStore(ResultStore):
     def __init__(
         self,
         root: Optional[str] = None,
-        max_entries: Optional[int] = None,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
         node_id: str = "",
         owners_for: Optional[Callable[[str], List]] = None,
         fetch_timeout_s: float = DEFAULT_FETCH_TIMEOUT_S,
         journal: Optional[EventJournal] = None,
     ) -> None:
-        kwargs = {} if max_entries is None else {"max_entries": max_entries}
-        super().__init__(root=root, **kwargs)
+        super().__init__(root=root, max_entries=max_entries)
         self.node_id = node_id
         self.owners_for = owners_for
         self.fetch_timeout_s = fetch_timeout_s

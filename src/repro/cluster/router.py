@@ -44,6 +44,7 @@ from repro.obs.exposition import Family, Sample
 from repro.obs.journal import EventJournal, emit_event
 from repro.service.client import ServiceBusyError, ServiceError
 from repro.service.request import FlowRequest
+from repro.store import MemoryLru
 
 #: Hot-digest cache bound: a record is a small JSON dict (~1 KB), so even
 #: thousands are cheap; 512 covers any realistic hot set.
@@ -62,7 +63,7 @@ class ClusterRouter:
         self.membership = membership
         self.journal = journal
         self.cache_entries = cache_entries
-        self._cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._cache = MemoryLru(cache_entries)
         self._lock = threading.Lock()
         self.created_s = time.time()
         self.requests = 0
@@ -87,17 +88,11 @@ class ClusterRouter:
     def _cache_get(self, digest: str) -> Optional[Dict[str, Any]]:
         with self._lock:
             record = self._cache.get(digest)
-            if record is None:
-                return None
-            self._cache.move_to_end(digest)
-            return dict(record)
+        return None if record is None else dict(record)
 
     def _cache_put(self, digest: str, record: Dict[str, Any]) -> None:
         with self._lock:
-            self._cache[digest] = dict(record)
-            self._cache.move_to_end(digest)
-            while len(self._cache) > self.cache_entries:
-                self._cache.popitem(last=False)
+            self._cache.put(digest, dict(record))
 
     def cache_len(self) -> int:
         with self._lock:

@@ -19,64 +19,30 @@ schedule.  :func:`load_calibration` therefore validates whatever subset of
 the provenance the caller pins, and :func:`resolve_calibration` pins all
 of it.
 
-Concurrency: :func:`get_or_build_calibration` and
+Storage is the shared store's (:mod:`repro.store`): tables are written
+atomically, and :func:`get_or_build_calibration` and
 :func:`resolve_calibration` serialize the build-or-load decision through
-an exclusive file lock next to the table, so N workers starting at once
-produce exactly one characterization run — the first worker builds while
-the rest block, then load the saved file.
+the store's compute-once lock next to the table, so N workers starting at
+once produce exactly one characterization run — the first worker builds
+while the rest block, then load the saved file.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
-import warnings
-from contextlib import contextmanager
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import hashing
 from repro.delay.calibrated import CalibrationTable
 from repro.delay.calibration import build_default_calibration
 from repro.errors import ReproError
 from repro.obs.journal import emit_event
+from repro.store import MemoryLru, atomic_write, default_cache_dir, key_lock
 
 FORMAT_VERSION = 1
-
-#: Environment variable overriding the cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Set to ``off``/``0``/``no`` to bypass the on-disk cache entirely.
-CACHE_TOGGLE_ENV = "REPRO_CALIBRATION_CACHE"
-
-try:  # POSIX advisory locks; on platforms without fcntl the lock is a no-op
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
-#: Whether the lockless-fallback warning has fired yet (once per process).
-_LOCKLESS_WARNED = False
-
-
-def _warn_lockless_once() -> None:
-    """One warning, first time the lock degrades — not once per call site.
-
-    The cache still works without ``fcntl`` (atomic renames keep readers
-    consistent); what is lost is build-once economy: N cold processes may
-    each pay for their own characterization.  Worth saying once, not worth
-    crashing over, and not worth repeating on every flow run.
-    """
-    global _LOCKLESS_WARNED
-    if _LOCKLESS_WARNED:
-        return
-    _LOCKLESS_WARNED = True
-    warnings.warn(
-        "fcntl is unavailable on this platform; calibration caching falls "
-        "back to lockless best-effort mode (concurrent cold processes may "
-        "each re-characterize instead of sharing one build)",
-        RuntimeWarning,
-        stacklevel=4,
-    )
 
 
 @dataclass(frozen=True)
@@ -135,16 +101,7 @@ def save_calibration(
         "smooth_passes": smooth_passes,
         "curves": table.to_dict(),
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True).encode())
 
 
 def read_provenance(path: str) -> CalibrationProvenance:
@@ -205,16 +162,6 @@ def load_calibration(
 # ---------------------------------------------------------------------------
 # Cache location and locking
 # ---------------------------------------------------------------------------
-def default_cache_dir() -> str:
-    """``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``."""
-    override = os.environ.get(CACHE_DIR_ENV)
-    if override:
-        return override
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "repro")
-
-
 def default_calibration_path(
     device: str, seed: int = 2020, smooth_passes: int = 1
 ) -> str:
@@ -224,32 +171,46 @@ def default_calibration_path(
     return os.path.join(default_cache_dir(), name)
 
 
-def cache_enabled() -> bool:
-    """Whether the on-disk cache is active (``REPRO_CALIBRATION_CACHE``)."""
-    return os.environ.get(CACHE_TOGGLE_ENV, "").lower() not in ("off", "0", "no")
-
-
-@contextmanager
-def calibration_lock(path: str) -> Iterator[None]:
-    """Exclusive advisory lock guarding the build-or-load of ``path``.
+def calibration_lock(path: str) -> "AbstractContextManager[None]":
+    """Exclusive lock guarding the build-or-load of ``path``.
 
     Concurrent engine workers serialize here: exactly one pays for the
-    characterization, the rest block and then load the saved file.  On
-    platforms without ``fcntl`` the lock degrades to a no-op (the atomic
-    rename in :func:`save_calibration` still keeps readers consistent).
+    characterization, the rest block and then load the saved file.  The
+    lock is per table, so different devices characterize in parallel.
     """
-    if fcntl is None:
-        _warn_lockless_once()
-        yield
-        return
-    lock_path = path + ".lock"
-    os.makedirs(os.path.dirname(os.path.abspath(lock_path)), exist_ok=True)
-    with open(lock_path, "w") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
+    return key_lock(path)
+
+
+#: ``source`` values :func:`resolve_calibration` can report.
+SOURCE_MEMORY = "memory"
+SOURCE_DISK = "disk"
+SOURCE_BUILT = "built"
+
+
+def _load_or_build(
+    path: str, device: str, seed: int, smooth_passes: int
+) -> Tuple[CalibrationTable, str]:
+    """Load ``path``, or characterize and save it, under its lock."""
+    with calibration_lock(path):
+        if os.path.exists(path):
+            table = load_calibration(
+                path, device=device, seed=seed, smooth_passes=smooth_passes
+            )
+            return table, SOURCE_DISK
+        table = build_default_calibration(
+            device, seed=seed, smooth_passes=smooth_passes
+        )
+        save_calibration(
+            table, path, device=device, seed=seed, smooth_passes=smooth_passes
+        )
+        emit_event(
+            "calibration.build",
+            device=device,
+            seed=seed,
+            smooth_passes=smooth_passes,
+            path=path,
+        )
+        return table, SOURCE_BUILT
 
 
 def get_or_build_calibration(
@@ -264,28 +225,12 @@ def get_or_build_calibration(
     The workhorse for scripts and CI: the first run pays for the skeleton
     sweeps, every later run starts instantly.
     """
-    with calibration_lock(path):
-        if os.path.exists(path):
-            return load_calibration(
-                path, device=device, seed=seed, smooth_passes=smooth_passes
-            )
-        table = build_default_calibration(
-            device, seed=seed, smooth_passes=smooth_passes
-        )
-        save_calibration(
-            table, path, device=device, seed=seed, smooth_passes=smooth_passes
-        )
-        return table
+    return _load_or_build(path, device, seed, smooth_passes)[0]
 
 
 #: In-process memo over :func:`resolve_calibration` (keyed by full identity),
 #: so one process never re-reads the file it just loaded.
-_MEMORY: Dict[Tuple[str, int, int, str], CalibrationTable] = {}
-
-#: ``source`` values :func:`resolve_calibration` can report.
-SOURCE_MEMORY = "memory"
-SOURCE_DISK = "disk"
-SOURCE_BUILT = "built"
+_MEMORY = MemoryLru()
 
 
 def resolve_calibration(
@@ -297,50 +242,15 @@ def resolve_calibration(
     """The one-stop calibration lookup the flow and engine workers use.
 
     Resolution order: in-process memo → on-disk cache (``path`` or the auto
-    path under :func:`default_cache_dir`) → build and save.  Returns the
-    table plus where it came from (``"memory"``/``"disk"``/``"built"``) so
-    callers can report cache effectiveness.
-
-    With the disk cache disabled (:data:`CACHE_TOGGLE_ENV`) and no explicit
-    ``path``, falls back to the in-memory characterization only.
+    path under :func:`~repro.store.default_cache_dir`) → build and save.
+    Returns the table plus where it came from (``"memory"``/``"disk"``/
+    ``"built"``) so callers can report cache effectiveness.
     """
     target = path or default_calibration_path(device, seed, smooth_passes)
     key = (device, seed, smooth_passes, os.path.abspath(target))
-    if key in _MEMORY:
-        return _MEMORY[key], SOURCE_MEMORY
-    if path is None and not cache_enabled():
-        table = build_default_calibration(
-            device, seed=seed, smooth_passes=smooth_passes
-        )
-        emit_event(
-            "calibration.build",
-            device=device,
-            seed=seed,
-            smooth_passes=smooth_passes,
-            cached=False,
-        )
-        _MEMORY[key] = table
-        return table, SOURCE_BUILT
-    with calibration_lock(target):
-        if os.path.exists(target):
-            table = load_calibration(
-                target, device=device, seed=seed, smooth_passes=smooth_passes
-            )
-            source = SOURCE_DISK
-        else:
-            table = build_default_calibration(
-                device, seed=seed, smooth_passes=smooth_passes
-            )
-            save_calibration(
-                table, target, device=device, seed=seed, smooth_passes=smooth_passes
-            )
-            emit_event(
-                "calibration.build",
-                device=device,
-                seed=seed,
-                smooth_passes=smooth_passes,
-                path=target,
-            )
-            source = SOURCE_BUILT
-    _MEMORY[key] = table
+    table = _MEMORY.get(key)
+    if table is not None:
+        return table, SOURCE_MEMORY
+    table, source = _load_or_build(target, device, seed, smooth_passes)
+    _MEMORY.put(key, table)
     return table, source

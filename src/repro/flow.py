@@ -38,13 +38,11 @@ from repro.pipeline import (
     PassManager,
     StageArtifactStore,
     build_stages,
-    stage_cache_enabled,
 )
 from repro.pipeline.incremental import (
     IncrementalState,
     MemoSpill,
-    coerce_incremental,
-    memo_spill_enabled_default,
+    coerce_switch,
 )
 from repro.rtl.generator import GenResult
 from repro.rtl.resources import ResourceReport
@@ -158,21 +156,18 @@ class Flow:
         replication: Backend fanout-optimization knobs (the paper runs with
             it enabled; the ablation bench disables it).
         retime: Run movable-register retiming after replication.
-        stage_cache: Stage-artifact caching policy.  ``None`` (default)
-            uses the shared on-disk store under ``$REPRO_CACHE_DIR/stages``
-            unless ``$REPRO_STAGE_CACHE`` is ``off``; ``True``/``"on"``
-            forces the default store; ``False``/``"off"`` disables all
+        stage_cache: Stage-artifact caching policy.  ``None``/``True``/
+            ``"on"`` (default) uses the shared on-disk store under
+            ``$REPRO_CACHE_DIR/stages``; ``False``/``"off"`` disables all
             stage reuse; a store instance (e.g. a private
             :class:`~repro.pipeline.StageArtifactStore`) is used as-is.
         incremental: Incremental-recompilation policy (see
-            :mod:`repro.pipeline.incremental`).  ``None`` (default) is on
-            unless ``$REPRO_INCREMENTAL`` is ``off``; ``False``/``"off"``
-            disables the per-loop scheduling/RTL memos, the placement
-            trajectory reuse, and content-digest early cutoff.  The memos
-            live on this instance and write-through to
-            ``$REPRO_CACHE_DIR/memos`` (``$REPRO_MEMO_SPILL=off`` keeps
-            them memory-only), so warm reuse survives process recycling;
-            results are bit-identical either way.
+            :mod:`repro.pipeline.incremental`).  ``None`` (default) is on;
+            ``False``/``"off"`` disables the per-loop scheduling/RTL memos,
+            the placement trajectory reuse, and content-digest early
+            cutoff.  The memos live on this instance and write-through to
+            ``$REPRO_CACHE_DIR/memos``, so warm reuse survives process
+            recycling; results are bit-identical either way.
     """
 
     #: Smoothing passes requested from the §4.1 characterization.
@@ -203,20 +198,18 @@ class Flow:
 
     @property
     def incremental_enabled(self) -> bool:
-        """Resolved incremental-recompilation policy (env-aware)."""
-        return coerce_incremental(self.incremental)
+        """Resolved incremental-recompilation policy."""
+        return coerce_switch(self.incremental)
 
     def _incremental_state(self) -> IncrementalState:
         """Lazy per-instance incremental memo workspace.
 
-        The memos write-through to ``$REPRO_CACHE_DIR/memos`` (unless
-        ``$REPRO_MEMO_SPILL=off``), so a fresh ``Flow`` — a recycled
-        service worker, a new sweep process — warms up from whatever a
-        previous owner already scheduled/emitted/placed.
+        The memos write-through to ``$REPRO_CACHE_DIR/memos``, so a fresh
+        ``Flow`` — a recycled service worker, a new sweep process — warms
+        up from whatever a previous owner already scheduled/emitted/placed.
         """
         if self._incremental_state_obj is None:
-            spill = MemoSpill() if memo_spill_enabled_default() else None
-            self._incremental_state_obj = IncrementalState(spill=spill)
+            self._incremental_state_obj = IncrementalState(spill=MemoSpill())
         return self._incremental_state_obj
 
     # ------------------------------------------------------------------
@@ -244,14 +237,8 @@ class Flow:
     def _stage_store(self) -> Optional[StageArtifactStore]:
         """Materialize the ``stage_cache`` policy into a store (or None)."""
         cache = self.stage_cache
-        if cache is None:
-            return StageArtifactStore() if stage_cache_enabled() else None
-        if isinstance(cache, bool):
-            return StageArtifactStore() if cache else None
-        if isinstance(cache, str):
-            if cache.strip().lower() in ("off", "0", "no", "false"):
-                return None
-            return StageArtifactStore()
+        if cache is None or isinstance(cache, (bool, str)):
+            return StageArtifactStore() if coerce_switch(cache) else None
         return cache
 
     # ------------------------------------------------------------------

@@ -17,12 +17,7 @@ from repro.pipeline.digest import (
     design_digest,
     table_digest,
 )
-from repro.pipeline.incremental import (
-    INCREMENTAL_ENV,
-    IncrementalState,
-    coerce_incremental,
-    incremental_enabled_default,
-)
+from repro.pipeline.incremental import IncrementalState, coerce_switch
 from repro.pipeline.manager import ACTION_RUN, ACTION_SKIPPED, PassManager
 from repro.pipeline.stage import STAGE_DIGEST_SCHEMA, Stage
 from repro.pipeline.stages import (
@@ -41,15 +36,12 @@ from repro.pipeline.stages import (
 )
 from repro.pipeline.store import (
     DEFAULT_MAX_ENTRIES,
-    STAGE_CACHE_ENV,
     STAGE_STORE_SCHEMA,
     MemoryStageStore,
     StageArtifactStore,
     StoredStage,
     decode_outputs,
-    default_stage_dir,
     encode_outputs,
-    stage_cache_enabled,
 )
 
 __all__ = [
@@ -59,7 +51,6 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "DESIGN_DIGEST_SCHEMA",
     "IIAnalysisStage",
-    "INCREMENTAL_ENV",
     "IncrementalState",
     "MemoryStageStore",
     "PassManager",
@@ -68,7 +59,6 @@ __all__ = [
     "ReplicationStage",
     "RetimingStage",
     "RtlGenStage",
-    "STAGE_CACHE_ENV",
     "STAGE_DIGEST_SCHEMA",
     "STAGE_STORE_SCHEMA",
     "SchedulingStage",
@@ -80,12 +70,9 @@ __all__ = [
     "TABLE_DIGEST_SCHEMA",
     "TimingStage",
     "build_stages",
-    "coerce_incremental",
+    "coerce_switch",
     "decode_outputs",
-    "default_stage_dir",
     "design_digest",
     "encode_outputs",
-    "incremental_enabled_default",
-    "stage_cache_enabled",
     "table_digest",
 ]

@@ -38,57 +38,31 @@ cold.  Disk hits count into the same ``incremental.<name>_hits`` counters
 (plus ``incremental.<name>_spill_hits``); a memo key or value that cannot
 be canonicalized/pickled simply stays memory-only.
 
-Escape hatches: ``Flow(incremental=False)``, ``--incremental off``, or
-``REPRO_INCREMENTAL=off`` in the environment; ``REPRO_MEMO_SPILL=off``
-keeps incremental on but memory-only.
+Escape hatch: ``Flow(incremental=False)`` or ``--incremental off`` turns
+the memos, their spill and the overlay off together.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional
 
 from repro import obs
 from repro.hashing import content_digest
 from repro.pipeline.store import MemoryStageStore
+from repro.store import BlobStore, MemoryLru, namespace_dir
 
-#: Environment escape hatch: set to ``off`` to disable incremental
-#: recompilation everywhere (mirrors ``$REPRO_STAGE_CACHE``).
-INCREMENTAL_ENV = "REPRO_INCREMENTAL"
-
-#: Environment escape hatch: set to ``off`` to keep the incremental memos
-#: memory-only (no ``$REPRO_CACHE_DIR/memos`` spill).
-MEMO_SPILL_ENV = "REPRO_MEMO_SPILL"
-
-#: Values of :data:`INCREMENTAL_ENV` (or ``Flow(incremental=...)`` strings)
-#: that mean "disabled".
+#: Switch strings (``--incremental off``, ``stage_cache="no"``) that mean
+#: "disabled".
 _OFF_VALUES = ("off", "0", "no", "false")
 
 
-def incremental_enabled_default() -> bool:
-    """Whether incremental recompilation is on absent an explicit setting."""
-    return os.environ.get(INCREMENTAL_ENV, "").strip().lower() not in _OFF_VALUES
-
-
-def memo_spill_enabled_default() -> bool:
-    """Whether the memos spill to disk absent an explicit setting."""
-    return os.environ.get(MEMO_SPILL_ENV, "").strip().lower() not in _OFF_VALUES
-
-
-def default_memo_dir() -> str:
-    """``$REPRO_CACHE_DIR/memos`` (next to ``stages/`` and ``results/``)."""
-    from repro.delay.cache import default_cache_dir
-
-    return os.path.join(default_cache_dir(), "memos")
-
-
-def coerce_incremental(setting: Any) -> bool:
-    """Normalize a ``Flow(incremental=...)`` value to a boolean policy."""
+def coerce_switch(setting: Any) -> bool:
+    """Normalize a ``Flow(incremental=...)``/``Flow(stage_cache=...)``
+    switch to a boolean (``None`` means the default: on)."""
     if setting is None:
-        return incremental_enabled_default()
+        return True
     if isinstance(setting, str):
         return setting.strip().lower() not in _OFF_VALUES
     return bool(setting)
@@ -98,11 +72,11 @@ def coerce_incremental(setting: Any) -> bool:
 SPILL_SCHEMA = "repro-memo-spill/1"
 
 
-class MemoSpill:
+class MemoSpill(BlobStore):
     """The shared on-disk side of the incremental memos.
 
-    One flat directory of pickle files, each holding a single memo entry
-    named ``<memo>-<sha256(key)>.pkl``.  Keys are canonical-JSON content
+    One namespace of pickle files, each holding a single memo entry named
+    ``<memo>-<sha256(key)>.pkl``.  Keys are canonical-JSON content
     digests (the same recipe as the flow service), so every process —
     and every *future* process — derives identical file names for
     identical memo keys without coordination.
@@ -110,11 +84,9 @@ class MemoSpill:
     Robustness over completeness: a key that cannot be canonicalized or a
     value that cannot be pickled is silently skipped (that entry stays
     memory-only), a torn/corrupt file is a miss, and all filesystem
-    errors degrade to cache-off behavior.  Writes are atomic
-    (temp + ``os.replace``) so concurrent workers never observe partial
-    payloads.  The directory is bounded by an mtime LRU: loads refresh
-    mtime, and every :data:`PRUNE_EVERY` saves the oldest entries beyond
-    ``max_entries`` are deleted.
+    errors degrade to cache-off behavior.  The namespace is bounded by
+    the store's LRU: loads refresh recency, and every :data:`PRUNE_EVERY`
+    saves the oldest entries beyond ``max_entries`` are deleted.
     """
 
     PRUNE_EVERY = 64
@@ -122,14 +94,13 @@ class MemoSpill:
     def __init__(
         self, root: Optional[str] = None, max_entries: int = 4096
     ) -> None:
-        self.root = root if root is not None else default_memo_dir()
-        self.max_entries = max_entries
+        super().__init__(root or namespace_dir("memos"), (".pkl",), max_entries)
         self.saves = 0
         self.loads = 0
         self.errors = 0
 
     def _path(self, name: str, key_digest: str) -> str:
-        return os.path.join(self.root, f"{name}-{key_digest}.pkl")
+        return self.path(f"{name}-{key_digest}")
 
     def _key_digest(self, name: str, key: Hashable) -> Optional[str]:
         try:
@@ -142,14 +113,13 @@ class MemoSpill:
     def load(self, name: str, key: Hashable) -> Optional[Any]:
         """The spilled value for ``(name, key)``, or ``None`` on a miss."""
         key_digest = self._key_digest(name, key)
-        if key_digest is None:
+        blobs = None if key_digest is None else self.read(f"{name}-{key_digest}")
+        if blobs is None:
             return None
-        path = self._path(name, key_digest)
         try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                TypeError, AttributeError, ImportError, IndexError):
+            payload = pickle.loads(blobs[0])
+        except (pickle.UnpicklingError, EOFError, ValueError, TypeError,
+                AttributeError, ImportError, IndexError):
             return None  # torn/corrupt/foreign file: a miss, not an error
         if (
             not isinstance(payload, dict)
@@ -157,10 +127,6 @@ class MemoSpill:
             or payload.get("memo") != name
         ):
             return None
-        try:
-            os.utime(path, None)  # refresh the LRU clock
-        except OSError:
-            pass
         self.loads += 1
         return payload.get("value")
 
@@ -177,19 +143,10 @@ class MemoSpill:
         except (TypeError, AttributeError, pickle.PicklingError):
             self.errors += 1
             return  # unpicklable value: memory-only entry
-        path = self._path(name, key_digest)
-        tmp = f"{path}.tmp.{os.getpid()}"
         try:
-            os.makedirs(self.root, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
+            self.write(f"{name}-{key_digest}", (blob,), evict=False)
         except OSError:
             self.errors += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return
         self.saves += 1
         if self.saves % self.PRUNE_EVERY == 0:
@@ -198,34 +155,10 @@ class MemoSpill:
     def prune(self) -> int:
         """Delete the oldest entries beyond ``max_entries``; returns the
         number removed."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return 0
-        entries: List[Tuple[float, str]] = []
-        for filename in names:
-            if not filename.endswith(".pkl"):
-                continue
-            path = os.path.join(self.root, filename)
-            try:
-                entries.append((os.path.getmtime(path), path))
-            except OSError:
-                continue  # concurrently pruned
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return 0
-        entries.sort()
-        removed = 0
-        for _, path in entries[:excess]:
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return self.evict()
 
 
-class _LruMemo:
+class _LruMemo(MemoryLru):
     """A bounded insertion-refreshed memo with hit/miss counters.
 
     With a :class:`MemoSpill` attached, an in-memory miss consults disk
@@ -239,45 +172,33 @@ class _LruMemo:
         max_entries: int,
         spill: Optional[MemoSpill] = None,
     ) -> None:
+        super().__init__(max_entries)
         self.name = name
-        self.max_entries = max_entries
         self.spill = spill
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.spill_hits = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def get(self, key: Hashable) -> Optional[Any]:
-        hit = self._entries.get(key)
+        hit = super().get(key)
         if hit is None and self.spill is not None:
             hit = self.spill.load(self.name, key)
             if hit is not None:
-                self._entries[key] = hit
-                self._trim()
+                super().put(key, hit)
                 self.spill_hits += 1
                 obs.add(f"incremental.{self.name}_spill_hits")
         if hit is None:
             self.misses += 1
             obs.add(f"incremental.{self.name}_misses")
             return None
-        self._entries.move_to_end(key)
         self.hits += 1
         obs.add(f"incremental.{self.name}_hits")
         return hit
 
     def put(self, key: Hashable, value: Any) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        self._trim()
+        super().put(key, value)
         if self.spill is not None:
             self.spill.save(self.name, key, value)
-
-    def _trim(self) -> None:
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
 
 
 class IncrementalState:

@@ -13,54 +13,34 @@ input digest (see :mod:`repro.pipeline.digest`).  Two files per entry:
   observability snapshot (span attrs, counters, raw histogram samples,
   child spans) replayed when the stage is skipped.
 
-The mechanics are the result store's, deliberately: atomic temp+rename
-writes, payload-first/sidecar-last ordering so a visible sidecar implies a
-complete payload, mtime-LRU eviction with ``get`` refreshing recency, and
-a missing/corrupt file always reads as a miss, never an error.
+Atomic writes, locking and LRU eviction are the shared store's (see
+:mod:`repro.store`); this module owns only the entry format.
 
 :class:`MemoryStageStore` is the in-process overlay :meth:`Flow.compare
 <repro.flow.Flow.compare>` shares between its two runs: same interface,
-but entries live as pickled bytes in a dict.  Hits still unpickle fresh
-copies — downstream stages mutate their inputs in place, so handing out a
-shared live object would let one run corrupt another's artifacts.
+but entries live as pickled bytes in a :class:`~repro.store.MemoryLru`.
+Hits still unpickle fresh copies — downstream stages mutate their inputs
+in place, so handing out a shared live object would let one run corrupt
+another's artifacts.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pickle
-import tempfile
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.delay.cache import default_cache_dir
 from repro.errors import ReproError
+from repro.store import MemoryLru, SidecarStore, namespace_dir
 
 #: Version tag of the on-disk stage entry layout.
 STAGE_STORE_SCHEMA = "repro-stage-store/1"
-
-#: Environment toggle mirroring ``REPRO_CALIBRATION_CACHE``: set to
-#: ``off``/``0``/``no`` to disable the on-disk stage cache.
-STAGE_CACHE_ENV = "REPRO_STAGE_CACHE"
 
 #: Default LRU bound.  Stage bundles are smaller than whole-flow results
 #: and a full run writes ~10 of them, so the bound is set to cover several
 #: sweeps' worth of distinct stage points.
 DEFAULT_MAX_ENTRIES = 512
-
-
-def stage_cache_enabled() -> bool:
-    """False when ``$REPRO_STAGE_CACHE`` is ``off``/``0``/``no``."""
-    flag = os.environ.get(STAGE_CACHE_ENV, "on").strip().lower()
-    return flag not in ("off", "0", "no", "false")
-
-
-def default_stage_dir() -> str:
-    """``$REPRO_CACHE_DIR/stages`` (see :func:`default_cache_dir`)."""
-    return os.path.join(default_cache_dir(), "stages")
 
 
 def encode_outputs(stage: str, outputs: Dict[str, Any]) -> bytes:
@@ -92,11 +72,12 @@ def decode_outputs(data: bytes) -> Dict[str, Any]:
 
 @dataclass
 class StoredStage:
-    """One store hit: sidecar metadata plus a lazy output loader."""
+    """One store hit: sidecar metadata plus the payload bytes read at
+    lookup time, so a later eviction cannot break :meth:`load`."""
 
     digest: str
     meta: Dict[str, Any]
-    path: str
+    data: bytes
 
     @property
     def stage(self) -> str:
@@ -104,26 +85,7 @@ class StoredStage:
 
     def load(self) -> Dict[str, Any]:
         """Unpickle the output bundle — always a fresh object graph."""
-        with open(self.path, "rb") as handle:
-            return decode_outputs(handle.read())
-
-
-class _MemoryEntry:
-    """Overlay hit: same duck type as :class:`StoredStage`, bytes-backed."""
-
-    __slots__ = ("digest", "meta", "_data")
-
-    def __init__(self, digest: str, meta: Dict[str, Any], data: bytes) -> None:
-        self.digest = digest
-        self.meta = meta
-        self._data = data
-
-    @property
-    def stage(self) -> str:
-        return self.meta.get("stage", "")
-
-    def load(self) -> Dict[str, Any]:
-        return decode_outputs(self._data)
+        return decode_outputs(self.data)
 
 
 class MemoryStageStore:
@@ -136,25 +98,13 @@ class MemoryStageStore:
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ReproError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self._entries = MemoryLru(max_entries)
 
-    def get(self, digest: str) -> Optional[_MemoryEntry]:
-        hit = self._entries.get(digest)
-        if hit is None:
-            return None
-        self._entries.move_to_end(digest)
-        meta, data = hit
-        return _MemoryEntry(digest, meta, data)
+    def get(self, digest: str) -> Optional[StoredStage]:
+        return self._entries.get(digest)
 
     def put(self, digest: str, payload: bytes, meta: Dict[str, Any]) -> None:
-        self._entries[digest] = (dict(meta), payload)
-        self._entries.move_to_end(digest)
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+        self._entries.put(digest, StoredStage(digest, dict(meta), payload))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -163,13 +113,12 @@ class MemoryStageStore:
         return True
 
 
-class StageArtifactStore:
+class StageArtifactStore(SidecarStore):
     """Bounded, content-addressed on-disk cache of stage artifacts.
 
-    Picklable (plain root/bound attributes), so a :class:`~repro.flow.Flow`
-    carrying one ships cleanly to engine worker processes — every worker
-    then shares the same artifact directory, and concurrent same-digest
-    writes are idempotent by the atomic-replace discipline.
+    Picklable (plain attributes), so a :class:`~repro.flow.Flow` carrying
+    one ships cleanly to engine worker processes — every worker then
+    shares the same artifact directory.
     """
 
     def __init__(
@@ -177,72 +126,13 @@ class StageArtifactStore:
         root: Optional[str] = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> None:
-        if max_entries < 1:
-            raise ReproError(f"max_entries must be >= 1, got {max_entries}")
-        self.root = root or default_stage_dir()
-        self.max_entries = max_entries
+        super().__init__(root or namespace_dir("stages"), max_entries)
 
-    # -- paths -----------------------------------------------------------
-    def _payload_path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{digest}.pkl")
-
-    def _meta_path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{digest}.json")
-
-    # -- read side -------------------------------------------------------
     def get(self, digest: str) -> Optional[StoredStage]:
         """Look up ``digest``; a hit refreshes the entry's LRU recency."""
-        payload_path = self._payload_path(digest)
-        meta_path = self._meta_path(digest)
-        try:
-            with open(meta_path) as handle:
-                meta = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not os.path.exists(payload_path):
-            return None
-        now = time.time()
-        for path in (payload_path, meta_path):
-            try:
-                os.utime(path, (now, now))
-            except OSError:  # raced an eviction; treat as a miss
-                return None
-        return StoredStage(digest=digest, meta=meta, path=payload_path)
+        entry = self.read_entry(digest)
+        return None if entry is None else StoredStage(digest, *entry)
 
-    def entries(self) -> List[Dict[str, Any]]:
-        """All sidecar records, least-recently-used first."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        records = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.root, name)
-            try:
-                with open(path) as handle:
-                    meta = json.load(handle)
-                mtime = os.path.getmtime(path)
-            except (OSError, json.JSONDecodeError):
-                continue
-            meta["_mtime"] = mtime
-            records.append(meta)
-        records.sort(key=lambda rec: (rec["_mtime"], rec.get("digest", "")))
-        return records
-
-    def __len__(self) -> int:
-        try:
-            return sum(1 for n in os.listdir(self.root) if n.endswith(".pkl"))
-        except OSError:
-            return 0
-
-    def __bool__(self) -> bool:
-        # An empty store must not be falsy: ``store or default`` would
-        # silently swap in the default root (same trap as ResultStore).
-        return True
-
-    # -- write side ------------------------------------------------------
     def put(self, digest: str, payload: bytes, meta: Dict[str, Any]) -> int:
         """Store one entry atomically, then evict down to ``max_entries``.
 
@@ -250,47 +140,16 @@ class StageArtifactStore:
         same bytes can feed a memory overlay without re-pickling.  Returns
         the number of entries evicted.
         """
-        os.makedirs(self.root, exist_ok=True)
         meta = dict(meta)
         meta.setdefault("schema", STAGE_STORE_SCHEMA)
         meta["digest"] = digest
         meta["created_s"] = time.time()
         meta["payload_bytes"] = len(payload)
-        # Payload first, sidecar last: a reader that sees the sidecar is
-        # guaranteed the payload already exists.
-        self._atomic_write(self._payload_path(digest), payload)
-        self._atomic_write(
-            self._meta_path(digest),
-            (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
-        )
+        self.write_entry(digest, payload, meta, evict=False)
         return self.evict()
 
-    def _atomic_write(self, path: str, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
+    # Defined here, not only inherited, so tools that wrap this class's
+    # own methods (perfbench/spans.py) time the eviction as its own span.
     def evict(self) -> int:
         """Drop least-recently-used entries beyond ``max_entries``."""
-        records = self.entries()
-        excess = len(records) - self.max_entries
-        if excess <= 0:
-            return 0
-        evicted = 0
-        for record in records[:excess]:
-            digest = record.get("digest")
-            if not digest:
-                continue
-            for path in (self._payload_path(digest), self._meta_path(digest)):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            evicted += 1
-        return evicted
+        return super().evict()

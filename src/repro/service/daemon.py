@@ -47,14 +47,12 @@ import itertools
 import json
 import multiprocessing
 import os
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.delay.cache import default_cache_dir
 from repro.designs import design_names
 from repro.engine.merge import graft_trace
 from repro.errors import ReproError
@@ -69,6 +67,7 @@ from repro.service.traces import (
     read_spool,
 )
 from repro.service.worker import TELEMETRY_KEY, worker_entry
+from repro.store import atomic_write, namespace_dir
 
 #: Dispatch order of the priority lanes.
 PRIORITIES = ("high", "normal", "low")
@@ -213,15 +212,13 @@ class FlowService:
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self.job_timeout_s = job_timeout_s
-        self.quarantine_dir = quarantine_dir or os.path.join(
-            default_cache_dir(), "quarantine"
-        )
+        self.quarantine_dir = quarantine_dir or namespace_dir("quarantine")
         self.tracer = tracer or obs.Tracer()
         #: Process-wide registry mirrored by every service counter/gauge/
         #: histogram write — the substrate of ``GET /metrics``.
         self.registry = obs.global_registry()
         self.journal = journal or EventJournal(
-            os.path.join(default_cache_dir(), "journal", "events.jsonl"),
+            os.path.join(namespace_dir("journal"), "events.jsonl"),
             source="daemon",
         )
         self.traces = trace_store or TraceStore()
@@ -818,12 +815,10 @@ class FlowService:
             "quarantined_s": time.time(),
         }
         try:
-            os.makedirs(self.quarantine_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.quarantine_dir, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, os.path.join(self.quarantine_dir, f"{job.digest}.json"))
+            atomic_write(
+                os.path.join(self.quarantine_dir, f"{job.digest}.json"),
+                (json.dumps(record, indent=2, sort_keys=True) + "\n").encode(),
+            )
         except OSError:
             pass  # quarantine is best-effort forensics; the job record has it all
         self._count("service.quarantined")

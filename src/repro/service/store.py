@@ -10,49 +10,27 @@ produced it.  Two files per entry:
   result digest, sizes) readable without unpickling, used for listings and
   the daemon's status endpoint.
 
-Guarantees:
-
-* **Atomic writes** — both files are written to a temp name and
-  ``os.replace``'d, the same discipline as the calibration cache, so a
-  concurrent reader (another daemon, a worker retry racing its
-  predecessor's corpse) can never observe a half-written entry.  Writes of
-  the same digest are idempotent by construction: the flow is
-  deterministic, so last-writer-wins replaces equal bytes with equal bytes.
-* **LRU eviction** — the store is bounded (``max_entries``); a successful
-  :meth:`ResultStore.get` refreshes the entry's recency (mtime), and
-  :meth:`ResultStore.put` evicts the least-recently-used entries beyond
-  the bound.  Eviction is crash-safe: a missing sidecar or payload is
-  treated as a miss, never an error.
-* **Write/evict exclusion** — writers and evictors (possibly in different
-  processes: every cluster node worker shares its node's store) serialize
-  on an ``flock`` over ``<root>/.lock``, and eviction re-checks each
-  victim's mtime against its directory-scan snapshot before unlinking.
-  Without this, an evictor working from a stale scan could delete the
-  entry a concurrent ``put`` just (re)wrote — the race
-  ``tests/test_store_concurrency.py`` hammers.  Reads stay lock-free.
+Atomic writes, the writer/evictor lock and LRU eviction are the shared
+store's (see :mod:`repro.store`); this module owns only the entry format.
+Writes of the same digest are idempotent by construction: the flow is
+deterministic, so last-writer-wins replaces equal bytes with equal bytes.
+The store is bounded (``max_entries``); a successful :meth:`ResultStore.get`
+refreshes the entry's recency, and :meth:`ResultStore.put` evicts the
+least-recently-used entries beyond the bound.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
 import pickle
-import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Optional
 
-try:
-    import fcntl
-except ImportError:  # non-POSIX: degrade to unserialized writes
-    fcntl = None  # type: ignore[assignment]
-
-from repro.delay.cache import default_cache_dir
 from repro.engine.pool import ensure_pickle_depth
 from repro.errors import ReproError
 from repro.flow import FlowResult
 from repro.service.request import FlowRequest
+from repro.store import SidecarStore, namespace_dir
 
 #: Version tag of the on-disk entry layout.
 STORE_SCHEMA = "repro-result-store/1"
@@ -63,18 +41,14 @@ STORE_SCHEMA = "repro-result-store/1"
 DEFAULT_MAX_ENTRIES = 256
 
 
-def default_store_dir() -> str:
-    """``$REPRO_CACHE_DIR/results`` (see :func:`default_cache_dir`)."""
-    return os.path.join(default_cache_dir(), "results")
-
-
 @dataclass
 class StoredResult:
-    """One store hit: the sidecar metadata plus a lazy payload loader."""
+    """One store hit: the sidecar metadata plus the payload bytes read at
+    lookup time (decoded only by :meth:`load`)."""
 
     digest: str
     meta: Dict[str, Any]
-    path: str
+    data: bytes
 
     @property
     def result_digest(self) -> str:
@@ -87,17 +61,16 @@ class StoredResult:
     def load(self) -> FlowResult:
         """Unpickle the full :class:`FlowResult` (the expensive half)."""
         ensure_pickle_depth()
-        with open(self.path, "rb") as handle:
-            payload = pickle.load(handle)
+        payload = pickle.loads(self.data)
         if payload.get("schema") != STORE_SCHEMA:
             raise ReproError(
-                f"result-store entry {self.path!r} has schema "
+                f"result-store entry {self.digest!r} has schema "
                 f"{payload.get('schema')!r}, expected {STORE_SCHEMA!r}"
             )
         return payload["result"]
 
 
-class ResultStore:
+class ResultStore(SidecarStore):
     """Bounded, content-addressed cache of finished flow compilations."""
 
     def __init__(
@@ -105,63 +78,12 @@ class ResultStore:
         root: Optional[str] = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> None:
-        if max_entries < 1:
-            raise ReproError(f"max_entries must be >= 1, got {max_entries}")
-        self.root = root or default_store_dir()
-        self.max_entries = max_entries
+        super().__init__(root or namespace_dir("results"), max_entries)
 
-    # -- locking ---------------------------------------------------------
-    @contextlib.contextmanager
-    def _exclusive(self) -> Iterator[None]:
-        """Cross-process writer/evictor mutual exclusion.
-
-        ``flock`` is per open-file-description, so a fresh handle per
-        acquisition keeps this usable from any process or thread; the
-        lock file itself is never an entry (no ``.pkl``/``.json`` suffix).
-        Callers must not nest acquisitions (same-thread re-acquisition on
-        a second handle would deadlock) — ``put``/``put_bytes`` therefore
-        call :meth:`_evict_locked` directly, not :meth:`evict`.
-        """
-        os.makedirs(self.root, exist_ok=True)
-        if fcntl is None:
-            yield
-            return
-        handle = open(os.path.join(self.root, ".lock"), "ab")
-        try:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(handle, fcntl.LOCK_UN)
-            finally:
-                handle.close()
-
-    # -- paths -----------------------------------------------------------
-    def _payload_path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{digest}.pkl")
-
-    def _meta_path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{digest}.json")
-
-    # -- read side -------------------------------------------------------
     def get(self, digest: str) -> Optional[StoredResult]:
         """Look up ``digest``; a hit refreshes the entry's LRU recency."""
-        payload_path = self._payload_path(digest)
-        meta_path = self._meta_path(digest)
-        try:
-            with open(meta_path) as handle:
-                meta = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not os.path.exists(payload_path):
-            return None
-        now = time.time()
-        for path in (payload_path, meta_path):
-            try:
-                os.utime(path, (now, now))
-            except OSError:  # entry raced an eviction; treat as a miss
-                return None
-        return StoredResult(digest=digest, meta=meta, path=payload_path)
+        entry = self.read_entry(digest)
+        return None if entry is None else StoredResult(digest, *entry)
 
     def load_result(self, digest: str) -> Optional[FlowResult]:
         """Convenience: ``get`` + ``load`` in one call."""
@@ -173,21 +95,16 @@ class ResultStore:
         format), or ``None`` on a miss.  Strictly local — the explicit
         base-class call bypasses peer-fetch subclasses, so a node serving
         its ``/result`` route can never recurse into the fleet."""
-        if ResultStore.get(self, digest) is None:  # sidecar check + LRU refresh
-            return None
-        try:
-            with open(self._payload_path(digest), "rb") as handle:
-                return handle.read()
-        except OSError:  # raced an eviction
-            return None
+        hit = ResultStore.get(self, digest)
+        return hit.data if hit is not None else None
 
     def put_bytes(self, digest: str, payload: bytes) -> Optional[StoredResult]:
         """Install a payload fetched from a peer (write-through caching).
 
         The payload embeds its own metadata, so a transferred entry is
-        self-describing: validate the schema and digest, then write
-        payload-first/sidecar-last exactly like :meth:`put`.  Returns
-        ``None`` (and stores nothing) for corrupt or mismatched payloads.
+        self-describing: validate the schema and digest, then write it
+        like :meth:`put`.  Returns ``None`` (and stores nothing) for
+        corrupt or mismatched payloads.
         """
         ensure_pickle_depth()
         try:
@@ -201,50 +118,10 @@ class ResultStore:
             return None
         meta = dict(meta)
         meta.pop("evicted", None)
-        with self._exclusive():
-            self._atomic_write(self._payload_path(digest), payload)
-            meta["payload_bytes"] = len(payload)
-            self._atomic_write(
-                self._meta_path(digest),
-                (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
-            )
-            self._evict_locked()
-        return StoredResult(digest=digest, meta=meta, path=self._payload_path(digest))
+        meta["payload_bytes"] = len(payload)
+        self.write_entry(digest, payload, meta)
+        return StoredResult(digest, meta, payload)
 
-    def entries(self) -> List[Dict[str, Any]]:
-        """All sidecar records, least-recently-used first."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return []
-        records = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.root, name)
-            try:
-                with open(path) as handle:
-                    meta = json.load(handle)
-                mtime = os.path.getmtime(path)
-            except (OSError, json.JSONDecodeError):
-                continue
-            meta["_mtime"] = mtime
-            records.append(meta)
-        records.sort(key=lambda rec: (rec["_mtime"], rec.get("digest", "")))
-        return records
-
-    def __len__(self) -> int:
-        try:
-            return sum(1 for n in os.listdir(self.root) if n.endswith(".pkl"))
-        except OSError:
-            return 0
-
-    def __bool__(self) -> bool:
-        # Without this, an *empty* store is falsy (via __len__) and
-        # ``store or ResultStore()`` silently swaps in the default root.
-        return True
-
-    # -- write side ------------------------------------------------------
     def put(self, request: FlowRequest, result: FlowResult) -> StoredResult:
         """Store ``result`` under ``request``'s digest (atomic), then evict
         down to ``max_entries``.  Returns the stored entry; the eviction
@@ -268,62 +145,7 @@ class ResultStore:
         }
         ensure_pickle_depth()
         payload = {"schema": STORE_SCHEMA, "meta": meta, "result": result}
-        blob = pickle.dumps(payload, protocol=4)  # pickle outside the lock
-        with self._exclusive():
-            # Payload first, sidecar last: a reader that sees the sidecar
-            # is guaranteed the payload already exists.
-            self._atomic_write(self._payload_path(digest), blob)
-            meta["payload_bytes"] = len(blob)
-            self._atomic_write(
-                self._meta_path(digest),
-                (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode(),
-            )
-            evicted = self._evict_locked()
-        meta["evicted"] = evicted
-        return StoredResult(digest=digest, meta=meta, path=self._payload_path(digest))
-
-    def _atomic_write(self, path: str, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def evict(self) -> int:
-        """Drop least-recently-used entries beyond ``max_entries``."""
-        with self._exclusive():
-            return self._evict_locked()
-
-    def _evict_locked(self) -> int:
-        """Eviction body; caller holds :meth:`_exclusive`.
-
-        The writer lock rules out racing a ``put``, but lock-free readers
-        still refresh mtimes underneath us — so re-check each victim's
-        mtime against the scan snapshot and spare entries touched since
-        (they are no longer least-recently-used)."""
-        records = self.entries()
-        excess = len(records) - self.max_entries
-        if excess <= 0:
-            return 0
-        evicted = 0
-        for record in records[:excess]:
-            digest = record.get("digest")
-            if not digest:
-                continue
-            meta_path = self._meta_path(digest)
-            try:
-                if os.path.getmtime(meta_path) != record["_mtime"]:
-                    continue
-            except OSError:
-                continue  # already gone
-            for path in (self._payload_path(digest), meta_path):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            evicted += 1
-        return evicted
+        blob = pickle.dumps(payload, protocol=4)
+        meta["payload_bytes"] = len(blob)
+        meta["evicted"] = self.write_entry(digest, blob, meta)
+        return StoredResult(digest, meta, blob)

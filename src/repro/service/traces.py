@@ -2,11 +2,14 @@
 
 Two pieces of the cross-process trace story live here:
 
-* :class:`TraceStore` — a tiny content-addressed store of **merged trace
-  documents** (``repro-trace/1``), one per request digest: the daemon's
-  ``service.job`` span plus the span forest of *every* worker attempt,
-  partial ones included.  ``repro trace --request <digest>`` and
-  ``GET /trace/<digest>`` read from it.
+* :class:`TraceStore` — the ``traces/`` namespace of the shared store
+  (:mod:`repro.store`): **merged trace documents** (``repro-trace/1``),
+  one per request digest — the daemon's ``service.job`` span plus the
+  span forest of *every* worker attempt, partial ones included.  It is
+  LRU-bounded like the result store, so a long-lived daemon keeps the
+  traces of its recent requests, not of every request it ever served.
+  ``repro trace --request <digest>`` and ``GET /trace/<digest>`` read
+  from it.
 * the **trace spool** — how spans survive a SIGKILL'd worker.  The worker
   runs a background thread that periodically snapshots its live tracer to
   a spool file (atomic temp+rename, so the daemon never reads a torn
@@ -20,13 +23,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from typing import Any, Dict, List, Optional
 
 from repro import obs
-from repro.delay.cache import default_cache_dir
 from repro.obs.journal import emit_event
+from repro.service.store import DEFAULT_MAX_ENTRIES
+from repro.store import BlobStore, atomic_write, namespace_dir
 
 #: Version tag of merged per-request trace documents.
 TRACE_SCHEMA = "repro-trace/1"
@@ -36,35 +39,29 @@ TRACE_SCHEMA = "repro-trace/1"
 SPOOL_INTERVAL_S = 0.05
 
 
-def default_trace_dir() -> str:
-    return os.path.join(default_cache_dir(), "traces")
+class TraceStore(BlobStore):
+    """Merged trace documents keyed by request digest, LRU-bounded."""
 
-
-class TraceStore:
-    """Merged trace documents keyed by request digest (atomic writes)."""
+    #: The result store's default bound: a trace per retained result.
+    MAX_ENTRIES = DEFAULT_MAX_ENTRIES
 
     def __init__(self, root: Optional[str] = None) -> None:
-        self.root = root or default_trace_dir()
-
-    def _path(self, digest: str) -> str:
-        return os.path.join(self.root, f"{digest}.json")
+        super().__init__(
+            root or namespace_dir("traces"), (".json",), self.MAX_ENTRIES
+        )
 
     def put(self, digest: str, document: Dict[str, Any]) -> None:
+        data = json.dumps(document, sort_keys=True) + "\n"
         try:
-            os.makedirs(self.root, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(document, handle, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, self._path(digest))
+            self.write(digest, (data.encode(),))
         except OSError:
             pass  # traces are forensics, never a reason to fail the job
 
     def get(self, digest: str) -> Optional[Dict[str, Any]]:
+        blobs = self.read(digest)
         try:
-            with open(self._path(digest)) as handle:
-                document = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+            document = json.loads(blobs[0]) if blobs is not None else None
+        except ValueError:
             return None
         return document if isinstance(document, dict) else None
 
@@ -96,12 +93,7 @@ def write_spool(path: str, tracer: obs.Tracer, meta: Dict[str, Any]) -> None:
     """
     spans = [obs.snapshot_span(root) for root in list(tracer.roots)]
     document = {"meta": meta, "spans": [s for s in spans if s]}
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        json.dump(document, handle, default=str)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(document, default=str).encode())
 
 
 def read_spool(path: str) -> Optional[Dict[str, Any]]:

@@ -24,6 +24,7 @@ from repro.ir.builder import DFGBuilder
 from repro.ir.types import i32
 from repro.scheduling.chaining import ChainingScheduler
 from repro.scheduling.gantt import render_gantt
+from repro.store import MemoryLru
 
 
 class TestCalibrationCache:
@@ -107,7 +108,7 @@ class TestResolveCalibration:
             return table
 
         monkeypatch.setattr(cache_mod, "build_default_calibration", fake_build)
-        monkeypatch.setattr(cache_mod, "_MEMORY", {})
+        monkeypatch.setattr(cache_mod, "_MEMORY", MemoryLru())
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
     def test_build_then_disk_then_memory(self):
@@ -150,12 +151,6 @@ class TestResolveCalibration:
         cache_mod._MEMORY.clear()
         with pytest.raises(ReproError, match="seed"):
             resolve_calibration("aws-f1", seed=2, path=path)
-
-    def test_cache_disabled_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CALIBRATION_CACHE", "off")
-        _table, source = resolve_calibration("aws-f1")
-        assert source == "built"
-        assert not os.path.exists(default_calibration_path("aws-f1"))
 
     def test_cache_dir_env_override(self):
         assert default_cache_dir() == os.environ["REPRO_CACHE_DIR"]

@@ -1,4 +1,4 @@
-"""Lockless fallback of the calibration cache on fcntl-less platforms."""
+"""Lockless fallback of the shared store lock on fcntl-less platforms."""
 
 from __future__ import annotations
 
@@ -6,13 +6,14 @@ import warnings
 
 import pytest
 
+from repro import store
 from repro.delay import cache
 
 
 @pytest.fixture()
 def _no_fcntl(monkeypatch):
-    monkeypatch.setattr(cache, "fcntl", None)
-    monkeypatch.setattr(cache, "_LOCKLESS_WARNED", False)
+    monkeypatch.setattr(store, "fcntl", None)
+    monkeypatch.setattr(store, "_LOCKLESS_WARNED", False)
 
 
 class TestLocklessFallback:
@@ -21,11 +22,12 @@ class TestLocklessFallback:
         with pytest.warns(RuntimeWarning, match="lockless"):
             with cache.calibration_lock(path):
                 pass
-        # No .lock file materializes in lockless mode.
-        assert not (tmp_path / "cal.json.lock").exists()
+        # No lock file materializes in lockless mode.
+        assert list(tmp_path.iterdir()) == []
 
     def test_warning_fires_once_per_process(self, tmp_path, _no_fcntl):
         path = str(tmp_path / "cal.json")
+        namespace = store.BlobStore(str(tmp_path / "ns"))
         with pytest.warns(RuntimeWarning):
             with cache.calibration_lock(path):
                 pass
@@ -33,17 +35,21 @@ class TestLocklessFallback:
             warnings.simplefilter("always")
             with cache.calibration_lock(path):
                 pass
-            with cache.calibration_lock(path):
+            with namespace.lock():
                 pass
         assert caught == []
 
     def test_locked_path_untouched_when_fcntl_present(self, tmp_path):
-        if cache.fcntl is None:  # pragma: no cover - non-POSIX host
+        if store.fcntl is None:  # pragma: no cover - non-POSIX host
             pytest.skip("platform has no fcntl")
         path = str(tmp_path / "cal.json")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with cache.calibration_lock(path):
                 pass
+            with store.BlobStore(str(tmp_path / "ns")).lock():
+                pass
         assert caught == []
-        assert (tmp_path / "cal.json.lock").exists()
+        assert (tmp_path / ".cal.json.lock").exists()
+        assert (tmp_path / "ns" / ".lock").exists()
+        assert not (tmp_path / "cal.json").exists()

@@ -23,12 +23,7 @@ import pytest
 from repro.designs import build_design
 from repro.flow import Flow
 from repro.opt import BASELINE
-from repro.pipeline.incremental import (
-    MemoSpill,
-    SPILL_SCHEMA,
-    _LruMemo,
-    memo_spill_enabled_default,
-)
+from repro.pipeline.incremental import MemoSpill, SPILL_SCHEMA, _LruMemo
 from repro.service.daemon import FlowService
 from repro.service.request import FlowRequest
 from repro.service.store import ResultStore
@@ -44,12 +39,29 @@ def _compile_then_stall_entry(request_dict, store_root, conn):
     """First attempt (gate present): compile for real — which spills the
     memos to disk — touch the marker, then idle so the test can SIGKILL
     a worker that did the work but never delivered it.  Later attempts
-    (gate gone) run the real worker."""
+    (gate gone) run the real worker.
+
+    The first attempt compiles with the stage cache off, so it leaves no
+    stage checkpoints: the successor re-runs every stage, and any
+    incremental hit it reports can only come from this attempt's spill."""
     gate = os.environ.get(GATE_ENV)
     if gate and os.path.exists(gate):
         clean = dict(request_dict)
         clean.pop("_telemetry", None)
-        execute_request(FlowRequest.from_dict(clean))
+        request = FlowRequest.from_dict(clean)
+        # execute_request's flow, minus the stage cache.
+        flow = Flow(
+            clock_mhz=request.clock_mhz,
+            seed=request.seed,
+            calibration_path=request.calibration_path,
+            stage_cache=False,
+        )
+        flow.SMOOTH_PASSES = request.smooth_passes
+        flow.run(
+            build_design(request.design, **request.param_dict),
+            request.config,
+            plan=request.transform_plan(),
+        )
         marker = os.environ.get(MARKER_ENV)
         if marker:
             with open(marker, "w") as handle:
@@ -88,7 +100,9 @@ class TestMemoSpillUnit:
         spill = MemoSpill(root=str(tmp_path / "memos"))
         spill.save("sched", ("k",), "good")
         (path,) = (
-            os.path.join(spill.root, name) for name in os.listdir(spill.root)
+            os.path.join(spill.root, name)
+            for name in os.listdir(spill.root)
+            if name.endswith(".pkl")
         )
         with open(path, "wb") as handle:
             handle.write(b"\x80garbage")
@@ -98,7 +112,9 @@ class TestMemoSpillUnit:
         spill = MemoSpill(root=str(tmp_path / "memos"))
         spill.save("sched", ("k",), "good")
         (path,) = (
-            os.path.join(spill.root, name) for name in os.listdir(spill.root)
+            os.path.join(spill.root, name)
+            for name in os.listdir(spill.root)
+            if name.endswith(".pkl")
         )
         with open(path, "wb") as handle:
             pickle.dump({"schema": "other/9", "memo": "sched", "value": "x"}, handle)
@@ -141,21 +157,16 @@ class TestMemoSpillUnit:
         assert successor.get(("k",)) == "v"  # second get: memory, not disk
         assert successor.spill_hits == 1 and successor.hits == 2
 
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEMO_SPILL", raising=False)
-        assert memo_spill_enabled_default()
-        monkeypatch.setenv("REPRO_MEMO_SPILL", "off")
-        assert not memo_spill_enabled_default()
-
 
 class TestFlowWarmsFromSpill:
     def test_fresh_flow_replays_spilled_memos(self, tmp_path, monkeypatch):
         """A second ``Flow`` instance (fresh memory) must hit the first
         instance's spilled entries and reproduce its fingerprint."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_STAGE_CACHE", "off")
-        reference = Flow(seed=2020).run(build_design("vector_arith"), BASELINE)
-        successor = Flow(seed=2020)
+        reference = Flow(seed=2020, stage_cache=False).run(
+            build_design("vector_arith"), BASELINE
+        )
+        successor = Flow(seed=2020, stage_cache=False)
         warm = successor.run(build_design("vector_arith"), BASELINE)
         assert warm.fingerprint() == reference.fingerprint()
         stats = successor._incremental_state().stats()
@@ -163,14 +174,6 @@ class TestFlowWarmsFromSpill:
         assert stats["rtl"]["spill_hits"] > 0
         assert stats["place"]["spill_hits"] > 0
         assert stats["sched"]["misses"] == 0
-
-    def test_spill_off_keeps_memos_memory_only(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_MEMO_SPILL", "off")
-        flow = Flow(seed=2020)
-        flow.run(build_design("vector_arith"), BASELINE)
-        assert flow._incremental_state().spill is None
-        assert not os.path.exists(str(tmp_path / "cache" / "memos"))
 
 
 class TestWorkerRecycling:
@@ -180,18 +183,16 @@ class TestWorkerRecycling:
         retry on a brand-new worker process must report
         ``incremental.*_spill_hits > 0`` and the reference digest."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_STAGE_CACHE", "off")  # no checkpoint
-        # resume: the successor re-runs every stage, so any incremental
-        # hit it reports can only come from the dead worker's spill.
         gate = tmp_path / "gate"
         gate.write_text("hold\n")
         marker = tmp_path / "compiled-marker"
         monkeypatch.setenv(GATE_ENV, str(gate))
         monkeypatch.setenv(MARKER_ENV, str(marker))
         request = FlowRequest.make("vector_arith", config="orig")
-        monkeypatch.setenv("REPRO_MEMO_SPILL", "off")
+        # Reference from a separate cache dir, so it spills nothing here.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "reference-cache"))
         reference_digest = execute_request(request).result_digest()
-        monkeypatch.delenv("REPRO_MEMO_SPILL")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
         async def scenario():
             service = FlowService(

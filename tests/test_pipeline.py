@@ -115,6 +115,19 @@ class TestStageArtifactStore:
         assert store.get("cc") is not None
         assert len(store) == 2
 
+    def test_hit_survives_eviction_before_load(self, tmp_path):
+        """A hit owns its payload: another process evicting the entry
+        between ``get`` and the deferred ``load`` must not break it."""
+        import time as _time
+
+        store = StageArtifactStore(root=str(tmp_path / "stages"), max_entries=1)
+        store.put("aa", encode_outputs("demo", {"x": [1]}), {"stage": "demo"})
+        hit = store.get("aa")
+        _time.sleep(0.01)
+        store.put("bb", encode_outputs("demo", {"x": [2]}), {"stage": "demo"})
+        assert store.get("aa") is None  # evicted under the hit
+        assert hit.load() == {"x": [1]}
+
     def test_empty_store_is_truthy(self, tmp_path):
         assert bool(StageArtifactStore(root=str(tmp_path / "s")))
         assert bool(MemoryStageStore())

@@ -53,10 +53,11 @@ def test_killed_worker_resumes_from_checkpointed_stages(tmp_path, monkeypatch):
     monkeypatch.setenv(DIE_ENV, str(tmp_path / "die-marker"))
     request = FlowRequest.make("matmul", config="orig")
 
-    # Reference digest from an uncached in-process run.
-    monkeypatch.setenv("REPRO_STAGE_CACHE", "off")
+    # Reference digest from an in-process run against a separate cache
+    # dir, so it leaves no checkpoints in the service's.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "reference-cache"))
     reference_digest = execute_request(request).result_digest()
-    monkeypatch.delenv("REPRO_STAGE_CACHE")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
     async def scenario():
         service = _service(

@@ -98,6 +98,17 @@ class TestDurability:
             handle.write("{not json")
         assert store.get(request.digest()) is None
 
+    def test_hit_survives_eviction_before_load(self, tmp_path, flow_result):
+        """A hit owns its payload: an eviction between ``get`` and
+        ``load`` must not turn into a FileNotFoundError."""
+        store = ResultStore(str(tmp_path / "one"), max_entries=1)
+        store.put(_request(1), flow_result)
+        hit = store.get(_request(1).digest())
+        time.sleep(0.01)
+        store.put(_request(2), flow_result)
+        assert store.get(_request(1).digest()) is None  # evicted under the hit
+        assert hit.load().result_digest() == flow_result.result_digest()
+
     def test_schema_mismatch_raises(self, store, flow_result):
         import pickle
 

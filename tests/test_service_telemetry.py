@@ -196,6 +196,23 @@ class TestTracePropagation:
         asyncio.run(scenario(None))
 
 
+class TestTraceStoreBound:
+    def test_traces_are_lru_bounded_like_results(self, tmp_path):
+        """A long-lived daemon writes one trace per request; the namespace
+        keeps only the most recent ones, at the result store's bound."""
+        from repro.service.store import DEFAULT_MAX_ENTRIES
+
+        assert TraceStore.MAX_ENTRIES == DEFAULT_MAX_ENTRIES
+        traces = TraceStore(str(tmp_path / "traces"))
+        total = TraceStore.MAX_ENTRIES + 2
+        for index in range(total):
+            traces.put(f"{index:064x}", {"index": index})
+        assert len(traces) == TraceStore.MAX_ENTRIES
+        assert traces.get(f"{0:064x}") is None
+        assert traces.get(f"{1:064x}") is None
+        assert traces.get(f"{total - 1:064x}") == {"index": total - 1}
+
+
 class TestMetricsExposition:
     def test_metrics_parse_while_compile_in_flight(self, tmp_path, monkeypatch):
         """The acceptance criterion: scrape /metrics mid-compile and parse
