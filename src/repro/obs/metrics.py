@@ -252,7 +252,7 @@ class MetricsRegistry:
 
 
 #: The process-wide registry: long-lived components (the service daemon,
-#: the HTTP server) record fleet-level metrics here so one ``/metrics``
+#: the HTTP server) record process-level metrics here so one ``/metrics``
 #: exposition can cover the whole process regardless of which tracer was
 #: ambient when the metric was written.
 _GLOBAL_REGISTRY = MetricsRegistry()

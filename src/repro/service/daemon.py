@@ -222,8 +222,8 @@ class FlowService:
             source="daemon",
         )
         self.traces = trace_store or TraceStore()
-        #: Cluster identity: stamped into ``/health``, ``/status`` and the
-        #: journal so multi-node logs stay attributable per node.
+        #: Daemon identity, reported in ``/status``; ``repro serve
+        #: --journal`` also makes it the journal's event source.
         self.node_id = node_id or f"node-{os.getpid()}"
         self.created_s = time.time()
         self._created_mono = time.perf_counter()
@@ -446,23 +446,6 @@ class FlowService:
     def counter(self, name: str) -> float:
         """Convenience for tests/CI: one aggregated counter value."""
         return self.tracer.aggregate_metrics().counter(name)
-
-    def health(self) -> Dict[str, Any]:
-        """The ``/health`` document: a cheap per-node vitals record the
-        cluster router's heartbeat and ``repro status --cluster`` consume
-        (``/status`` serializes every job record — too heavy to poll)."""
-        return {
-            "ok": True,
-            "schema": "repro-node-health/1",
-            "node_id": self.node_id,
-            "queue_depth": self._queued_count(),
-            "queue_limit": self.queue_limit,
-            "lanes": self.lane_depths(),
-            "inflight": len(self._inflight),
-            "workers": self.workers,
-            "store_entries": len(self.store),
-            "uptime_s": self.uptime_s(),
-        }
 
     def lane_depths(self) -> Dict[str, int]:
         """Queued jobs per priority lane (the ``/metrics`` label source)."""

@@ -8,11 +8,6 @@ scripts; connection reuse buys nothing here).
 Routes:
 
 * ``GET  /healthz``      — liveness probe;
-* ``GET  /health``       — cheap per-node vitals (queue depth, lanes,
-  inflight, store size) for cluster heartbeats and ``status --cluster``;
-* ``GET  /result/<digest>`` — the raw result-store payload (pickle bytes)
-  for peer fetch: a cluster node missing a digest locally downloads the
-  owner's entry instead of recompiling.  Strictly local lookup;
 * ``GET  /status``       — the daemon snapshot (queue, metrics, store);
 * ``GET  /metrics``      — Prometheus-style text exposition of the
   process-wide metrics registry (queue depth per lane, coalesce/hit
@@ -117,10 +112,7 @@ class ServiceServer:
             status, payload = await self._handle_one(reader)
         except Exception as exc:  # a handler bug must not kill the daemon
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        if isinstance(payload, bytes):  # binary routes (/result/<digest>)
-            body = payload
-            content_type = "application/octet-stream"
-        elif isinstance(payload, str):  # text routes (/metrics)
+        if isinstance(payload, str):  # text routes (/metrics)
             body = payload.encode()
             content_type = EXPOSITION_CONTENT_TYPE
         else:
@@ -146,7 +138,7 @@ class ServiceServer:
 
     async def _handle_one(
         self, reader: asyncio.StreamReader
-    ) -> Tuple[int, Union[Dict[str, Any], str, bytes]]:
+    ) -> Tuple[int, Union[Dict[str, Any], str]]:
         request_line = await reader.readline()
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
@@ -173,17 +165,9 @@ class ServiceServer:
     # -- routing ---------------------------------------------------------
     async def _route(
         self, method: str, path: str, body: Dict[str, Any]
-    ) -> Tuple[int, Union[Dict[str, Any], str, bytes]]:
+    ) -> Tuple[int, Union[Dict[str, Any], str]]:
         if method == "GET" and path == "/healthz":
             return 200, {"ok": True, "schema": "repro-service/1"}
-        if method == "GET" and path == "/health":
-            return 200, self.service.health()
-        if method == "GET" and path.startswith("/result/"):
-            digest = path[len("/result/"):]
-            payload = self.service.store.get_bytes(digest)
-            if payload is None:
-                return 404, {"error": f"no stored result for digest {digest!r}"}
-            return 200, payload
         if method == "GET" and path == "/status":
             return 200, self.service.snapshot()
         if method == "GET" and path == "/metrics":

@@ -90,38 +90,6 @@ class ResultStore(SidecarStore):
         hit = self.get(digest)
         return hit.load() if hit is not None else None
 
-    def get_bytes(self, digest: str) -> Optional[bytes]:
-        """Raw payload pickle for ``digest`` (the ``/result/<digest>`` wire
-        format), or ``None`` on a miss.  Strictly local — the explicit
-        base-class call bypasses peer-fetch subclasses, so a node serving
-        its ``/result`` route can never recurse into the fleet."""
-        hit = ResultStore.get(self, digest)
-        return hit.data if hit is not None else None
-
-    def put_bytes(self, digest: str, payload: bytes) -> Optional[StoredResult]:
-        """Install a payload fetched from a peer (write-through caching).
-
-        The payload embeds its own metadata, so a transferred entry is
-        self-describing: validate the schema and digest, then write it
-        like :meth:`put`.  Returns ``None`` (and stores nothing) for
-        corrupt or mismatched payloads.
-        """
-        ensure_pickle_depth()
-        try:
-            document = pickle.loads(payload)
-        except Exception:
-            return None
-        if not isinstance(document, dict) or document.get("schema") != STORE_SCHEMA:
-            return None
-        meta = document.get("meta")
-        if not isinstance(meta, dict) or meta.get("digest") != digest:
-            return None
-        meta = dict(meta)
-        meta.pop("evicted", None)
-        meta["payload_bytes"] = len(payload)
-        self.write_entry(digest, payload, meta)
-        return StoredResult(digest, meta, payload)
-
     def put(self, request: FlowRequest, result: FlowResult) -> StoredResult:
         """Store ``result`` under ``request``'s digest (atomic), then evict
         down to ``max_entries``.  Returns the stored entry; the eviction

@@ -40,8 +40,7 @@ here, once:
   so an eviction after the lookup cannot break a deferred decode.
 
 :class:`MemoryLru` is the in-memory counterpart: the bounded map behind
-the stage overlay, the incremental memos, the calibration memo and the
-cluster router's hot-digest cache.
+the stage overlay, the incremental memos and the calibration memo.
 """
 
 from __future__ import annotations

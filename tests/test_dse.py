@@ -102,9 +102,11 @@ class TestBackends:
         backend = small_backend()
         assert make_backend(backend) is backend
 
-    def test_make_backend_unknown(self):
-        with pytest.raises(ReproError):
-            make_backend("fpga")
+    @pytest.mark.parametrize("name", ("fpga", "cluster"))
+    def test_make_backend_unknown(self, name):
+        with pytest.raises(ReproError) as excinfo:
+            make_backend(name)
+        assert "valid backends: inline, engine, service" in str(excinfo.value)
 
     def test_failure_is_data_not_abort(self):
         backend = small_backend()
