@@ -1,12 +1,11 @@
-"""Incremental sweep recompilation — warm-point reuse, measured.
+"""Warm sweep revisit through the stage store — reuse, measured.
 
-The workload the incremental machinery is built for: re-running a
-broadcast-factor sweep.  One pass compiles every point from scratch
-(fresh flows, every reuse path disabled); a warm incremental flow then
-runs the same points twice — the first pass seeds the per-loop
-scheduling memos, the RTL tape, the placement trajectories and the
-persistent stage overlay, and the second pass re-visits every point as
-an unchanged sweep re-run.
+Re-running a broadcast-factor sweep.  One pass compiles every point from
+scratch (fresh flows, stage cache off); a flow backed by a private
+:class:`~repro.pipeline.StageArtifactStore` then runs the same points
+twice — the first pass fills the store, and the second re-visits every
+point as an unchanged sweep re-run, skipping every cacheable stage from
+disk.
 
 Recorded into ``BENCH_flow.json`` under ``incremental_sweep``: per-pass
 scratch and warm-revisit wall clock, and the speedup.  Asserted: every
@@ -33,6 +32,7 @@ import time
 from repro.designs import build_design
 from repro.flow import Flow
 from repro.opt import FULL
+from repro.pipeline import StageArtifactStore
 from repro.testing import synthetic_calibration
 
 DESIGN = "genome"
@@ -83,11 +83,11 @@ def _min_per_point(best, latest):
     return {f: min(best[f], latest[f]) for f in latest}
 
 
-def test_warm_sweep_revisit_is_fast_and_bit_identical(bench_extras):
+def test_warm_sweep_revisit_is_fast_and_bit_identical(bench_extras, tmp_path):
     table = synthetic_calibration()
 
     def scratch_point(design):
-        flow = Flow(calibration=table, stage_cache=False, incremental=False)
+        flow = Flow(calibration=table, stage_cache=False)
         return flow.run(design, FULL)
 
     scratch_points = None
@@ -99,7 +99,10 @@ def test_warm_sweep_revisit_is_fast_and_bit_identical(bench_extras):
         scratch_points = _min_per_point(scratch_points, point_s)
     scratch_s = sum(scratch_points.values())
 
-    inc = Flow(calibration=table, stage_cache=False, incremental=True)
+    inc = Flow(
+        calibration=table,
+        stage_cache=StageArtifactStore(root=str(tmp_path / "stages")),
+    )
     gc.collect()
     seed_points, seed, _journals = _timed_pass(lambda d: inc.run(d, FULL))
     seed_s = sum(seed_points.values())
@@ -117,7 +120,7 @@ def test_warm_sweep_revisit_is_fast_and_bit_identical(bench_extras):
     assert warm == scratch
     for factor in FACTORS:
         skipped = [e for e in journals[factor] if e["action"] == "skipped"]
-        assert skipped and all(e["source"] == "overlay" for e in skipped)
+        assert skipped and all(e["source"] == "disk" for e in skipped)
 
     speedup = scratch_s / max(warm_s, 1e-9)
     bench_extras["incremental_sweep"] = {

@@ -12,11 +12,15 @@ Two measurements, recorded into ``BENCH_flow.json`` under
 
 Only result *equality* is asserted (digests, not timings): wall-clock
 assertions flake on loaded CI runners, and the honest numbers in the
-report are the deliverable.
+report are the deliverable.  Each timed window starts with a full
+collection, so garbage left by earlier benches in the same session is
+not billed to whichever window the collector happens to fire in (a warm
+window is ~10 ms; one full collection of that garbage costs ~70 ms).
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.designs import build_design
@@ -37,14 +41,17 @@ def _flow(stage_cache):
 def test_compare_prefix_reuse(bench_extras, tmp_path):
     store = StageArtifactStore(root=str(tmp_path / "stages"))
 
+    gc.collect()
     start = time.perf_counter()
     cold = _flow(store).compare(build_design(DESIGN))
     cold_s = time.perf_counter() - start
 
+    gc.collect()
     start = time.perf_counter()
     warm = _flow(store).compare(build_design(DESIGN))
     warm_s = time.perf_counter() - start
 
+    gc.collect()
     start = time.perf_counter()
     plain = _flow(False).compare(build_design(DESIGN))
     plain_s = time.perf_counter() - start
@@ -88,10 +95,12 @@ def test_sweep_prefix_reuse(bench_extras, tmp_path):
             flow=_flow(stage_cache),
         )
 
+    gc.collect()
     start = time.perf_counter()
     cold = run(store)
     cold_s = time.perf_counter() - start
 
+    gc.collect()
     start = time.perf_counter()
     warm = run(store)
     warm_s = time.perf_counter() - start

@@ -117,7 +117,6 @@ def _flow_for(args) -> Flow:
         seed=args.seed,
         calibration_path=getattr(args, "calibration", None),
         stage_cache=getattr(args, "stage_cache", None),
-        incremental=getattr(args, "incremental", None),
     )
 
 
@@ -136,15 +135,6 @@ def _add_flow_options(parser, jobs: bool = True) -> None:
         metavar="{on,off}",
         help="stage-artifact caching under $REPRO_CACHE_DIR/stages "
              "(default: on); 'off' re-runs every pipeline stage",
-    )
-    parser.add_argument(
-        "--incremental", choices=("on", "off"), default=None,
-        metavar="{on,off}",
-        help="incremental recompilation: per-loop scheduling/RTL memos, "
-             "placement trajectory reuse, and stage-output early cutoff "
-             "across the runs of one sweep, spilled to "
-             "$REPRO_CACHE_DIR/memos (default: on); results are "
-             "bit-identical either way",
     )
     if jobs:
         parser.add_argument(
@@ -296,10 +286,9 @@ def _cmd_profile(args) -> int:
     # super-linear slope.
     for _rep in range(args.repeat):
         for factor in factors:
-            # Fresh flow per run: no stage-cache hits and no cross-run
-            # incremental reuse may skip the work being timed.  The
-            # collection boundary keeps garbage from earlier runs out of
-            # this run's span timings.
+            # Fresh flow per run: no stage-cache hit may skip the work
+            # being timed.  The collection boundary keeps garbage from
+            # earlier runs out of this run's span timings.
             gc.collect()
             flow = _flow_for(args)
             tracer = obs.Tracer()
@@ -776,9 +765,9 @@ def main(argv=None) -> int:
     p_prof.add_argument("--json", action="store_true")
     _add_flow_options(p_prof, jobs=False)
     # Profiling measures this run's wall clock; stage-cache hits would
-    # replay stages in ~0ms and cross-run incremental reuse would skip the
-    # very work being measured, so default both off.
-    p_prof.set_defaults(fn=_cmd_profile, stage_cache="off", incremental="off")
+    # replay stages in ~0ms and skip the very work being measured, so
+    # default the cache off.
+    p_prof.set_defaults(fn=_cmd_profile, stage_cache="off")
 
     p_events = sub.add_parser(
         "events", help="read or follow the structured event journal"

@@ -64,10 +64,6 @@ def ensure_pickle_depth() -> None:
         sys.setrecursionlimit(PICKLE_RECURSION_LIMIT)
 
 
-#: Backwards-compatible private alias (pre-service name).
-_ensure_pickle_depth = ensure_pickle_depth
-
-
 def _pool_context():
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
@@ -83,7 +79,7 @@ _WORKER_FLOW: Optional[Flow] = None
 def _init_worker(flow: Flow, journal_path: Optional[str] = None) -> None:
     global _WORKER_FLOW
     _WORKER_FLOW = flow
-    _ensure_pickle_depth()  # results are pickled on the worker side
+    ensure_pickle_depth()  # results are pickled on the worker side
     if journal_path:
         # Re-activate the parent's event journal under this worker's pid,
         # so stage cache hit/miss and calibration-build events emitted

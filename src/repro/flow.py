@@ -39,11 +39,6 @@ from repro.pipeline import (
     StageArtifactStore,
     build_stages,
 )
-from repro.pipeline.incremental import (
-    IncrementalState,
-    MemoSpill,
-    coerce_switch,
-)
 from repro.rtl.generator import GenResult
 from repro.rtl.resources import ResourceReport
 from repro.scheduling.schedule import Schedule
@@ -54,6 +49,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Default HLS clock target when a design does not specify one (MHz).
 DEFAULT_CLOCK_MHZ = 300.0
+
+#: Switch strings (``--stage-cache off``, ``stage_cache="no"``) that mean
+#: "disabled".
+_OFF_VALUES = ("off", "0", "no", "false")
+
+
+def coerce_switch(setting: Union[None, bool, str]) -> bool:
+    """Normalize a ``Flow(stage_cache=...)`` switch to a boolean (``None``
+    means the default: on)."""
+    if setting is None:
+        return True
+    if isinstance(setting, str):
+        return setting.strip().lower() not in _OFF_VALUES
+    return bool(setting)
 
 
 @dataclass
@@ -161,13 +170,6 @@ class Flow:
             ``$REPRO_CACHE_DIR/stages``; ``False``/``"off"`` disables all
             stage reuse; a store instance (e.g. a private
             :class:`~repro.pipeline.StageArtifactStore`) is used as-is.
-        incremental: Incremental-recompilation policy (see
-            :mod:`repro.pipeline.incremental`).  ``None`` (default) is on;
-            ``False``/``"off"`` disables the per-loop scheduling/RTL memos,
-            the placement trajectory reuse, and content-digest early
-            cutoff.  The memos live on this instance and write-through to
-            ``$REPRO_CACHE_DIR/memos``, so warm reuse survives process
-            recycling; results are bit-identical either way.
     """
 
     #: Smoothing passes requested from the §4.1 characterization.
@@ -182,7 +184,6 @@ class Flow:
         retime: bool = True,
         calibration_path: Optional[str] = None,
         stage_cache: Union[None, bool, str, StageArtifactStore] = None,
-        incremental: Union[None, bool, str] = None,
     ) -> None:
         self.clock_mhz = clock_mhz
         self.seed = seed
@@ -191,26 +192,8 @@ class Flow:
         self.replication = replication or ReplicationConfig()
         self.retime = retime
         self.stage_cache = stage_cache
-        self.incremental = incremental
-        self._incremental_state_obj: Optional[IncrementalState] = None
         #: (device, seed, smooth_passes, path) → (table, original source).
         self._calibration_memo: Dict[Tuple, Tuple[CalibrationTable, str]] = {}
-
-    @property
-    def incremental_enabled(self) -> bool:
-        """Resolved incremental-recompilation policy."""
-        return coerce_switch(self.incremental)
-
-    def _incremental_state(self) -> IncrementalState:
-        """Lazy per-instance incremental memo workspace.
-
-        The memos write-through to ``$REPRO_CACHE_DIR/memos``, so a fresh
-        ``Flow`` — a recycled service worker, a new sweep process — warms
-        up from whatever a previous owner already scheduled/emitted/placed.
-        """
-        if self._incremental_state_obj is None:
-            self._incremental_state_obj = IncrementalState(spill=MemoSpill())
-        return self._incremental_state_obj
 
     # ------------------------------------------------------------------
     def _resolve_calibration(self, device: str) -> Tuple[CalibrationTable, str]:
@@ -284,10 +267,6 @@ class Flow:
         ctx: Dict[str, object] = {"design": design, "clock_ns": 1000.0 / clock_mhz}
         if plan is not None and len(plan):
             ctx["plan"] = plan
-        if _overlay is None and self.incremental_enabled:
-            # The persistent per-flow overlay: re-run sweep points whose
-            # stage inputs are byte-identical skip those stages outright.
-            _overlay = self._incremental_state().overlay
         manager = PassManager(
             build_stages(), store=self._stage_store(), overlay=_overlay
         )

@@ -8,7 +8,7 @@ matters for the paper's experiments: *the sinks of a broadcast net occupy an
 area proportional to their total resource demand*, so broadcast spread — and
 hence wire delay — grows with broadcast factor and buffer size.
 
-Three performance mechanisms ride on top of the greedy algorithm without
+Two performance mechanisms ride on top of the greedy algorithm without
 changing any placement decision:
 
 * **Indexed allocation**: every seat comes from
@@ -19,14 +19,6 @@ changing any placement decision:
   costs a few big-int operations rather than a walk over its tiles, and
   the tiles come out in exactly the order a plain spiral walk visits them
   (see :mod:`repro.physical.fabric`).
-* **Trajectory reuse** (incremental sweeps): :meth:`Placer.place` can
-  record its greedy phase as a trajectory — per cell, the desired position
-  and the exact tile chunks allocated — and a later run over a *similar*
-  netlist replays matching prefix steps by re-taking the recorded chunks
-  directly, skipping the free-capacity search.  The first
-  mismatching step falls back to fresh allocation for the rest of the
-  order, so reuse is bit-identical by construction (either the whole
-  prefix matches — same occupancy state by induction — or it isn't used).
 * **Linear refinement**: the outlier cutoff scales with the design's
   packed dimension (:data:`REFINE_OUTLIER_REL`) so the attempted-trial
   count stays proportional to cell count, and the refine pass caches each
@@ -42,7 +34,7 @@ import math
 import random
 import weakref
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.errors import PlacementError
@@ -232,9 +224,6 @@ class Placer:
     def __init__(self, fabric: Fabric, seed: int = 2020) -> None:
         self.fabric = fabric
         self.seed = seed
-        #: Greedy-phase trajectory of the last :meth:`place` call with
-        #: ``record=True`` (see :meth:`place`).
-        self.trajectory: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     def place(
@@ -242,8 +231,6 @@ class Placer:
         netlist: Netlist,
         anchor: Optional[str] = None,
         refine_passes: int = 3,
-        reuse: Optional[Dict[str, Any]] = None,
-        record: bool = False,
     ) -> Placement:
         """Place every cell of ``netlist``; returns a :class:`Placement`.
 
@@ -265,19 +252,10 @@ class Placer:
            improvements commit — the DFS placement is already locally
            tight, and unconditional re-seating causes displacement
            cascades.
-
-        ``reuse`` is a trajectory recorded by a previous ``record=True``
-        call (:attr:`trajectory`): greedy steps whose (cell, demand, column
-        kind, desired position) match the recorded step re-take the
-        recorded chunks directly instead of searching the occupancy — exact
-        by induction, since a fully-matching prefix implies an identical
-        occupancy state.  The first mismatch disables reuse for the rest of
-        the run.
         """
         rng = random.Random(self.seed)
         occupancy = Occupancy(self.fabric)
         placement = Placement()
-        self.trajectory = None
         if not netlist.cells:
             return placement
         self._chunks: Dict[str, List[Tuple[int, int, int]]] = {}
@@ -327,20 +305,6 @@ class Placer:
                 placement.put(cell, px, py, 0.0)
             obs.add("placement.cells_placed", len(brams))
 
-        # A reused trajectory is valid only when the pre-greedy occupancy
-        # matches the recording run's — fabric, seed, and the exact BRAM
-        # floorplan sequence (which phase 1 derives from (name, demand)
-        # alone).
-        bram_sig = [(c.name, _demand_of(c)) for c in brams]
-        steps: Optional[List[tuple]] = None
-        if (
-            reuse is not None
-            and reuse.get("device") == self.fabric.device.name
-            and reuse.get("seed") == self.seed
-            and reuse.get("brams") == bram_sig
-        ):
-            steps = reuse["steps"]
-
         # Phase 2: greedy DFS.  I/O pads go after the core logic (they pin
         # to the die edge and must not drag the datapath there), macros go
         # last (they fill space around the packed fine-grained logic).
@@ -355,45 +319,13 @@ class Placer:
             ]
             ports = [c for c in order if c.kind is CellKind.PORT]
             big = [c for c in order if _demand_of(c) > self.BIG_CELL_TILES * 64]
-            recorded: Optional[List[tuple]] = [] if record else None
-            reused = 0
-            for i, cell in enumerate(small + ports + big):
-                # Always draw the jitter — the rng stream must advance
-                # identically whether or not this step replays.
+            for cell in small + ports + big:
                 desired = self._desired_position(
                     cell, neighbors, placement, rng, (cx, cy)
                 )
-                demand = _demand_of(cell)
-                col_kind = _col_kind_for(cell)
-                chunks = None
-                if steps is not None:
-                    if i < len(steps) and steps[i][:4] == (
-                        cell.name, demand, col_kind, desired
-                    ):
-                        chunks = self._take_recorded(steps[i][4], occupancy)
-                        if chunks is not None:
-                            reused += 1
-                    if chunks is None:
-                        steps = None  # diverged: fresh allocation from here
-                if chunks is None:
-                    chunks = self._allocate(cell, desired, occupancy)
-                self._commit_chunks(cell, chunks, placement)
-                if recorded is not None:
-                    recorded.append(
-                        (cell.name, demand, col_kind, desired, tuple(chunks))
-                    )
+                self._allocate_and_put(cell, desired, occupancy, placement)
             sp.set("cells", len(order))
-            if reuse is not None:
-                sp.set("steps_reused", reused)
-                obs.add("placement.trajectory_steps_reused", reused)
             obs.add("placement.cells_placed", len(order))
-            if recorded is not None:
-                self.trajectory = {
-                    "device": self.fabric.device.name,
-                    "seed": self.seed,
-                    "brams": bram_sig,
-                    "steps": recorded,
-                }
 
         # Phase 3: refinement.  The outlier cutoff scales with the linear
         # dimension of the packed region (integer demand sum: identical
@@ -643,53 +575,25 @@ class Placer:
         y += rng.uniform(-JITTER_TILES, JITTER_TILES)
         return x, y
 
-    @staticmethod
-    def _take_recorded(
-        chunks: Tuple[Tuple[int, int, int], ...],
-        occupancy: Occupancy,
-    ) -> Optional[List[Tuple[int, int, int]]]:
-        """Re-take a recorded chunk list directly (no free-capacity search).
-
-        Returns ``None`` — releasing any partial takes — if the capacity is
-        not exactly available, so the caller falls back to fresh allocation
-        from an untouched occupancy (what a scratch run would see).
-        """
-        taken: List[Tuple[int, int, int]] = []
-        for x, y, units in chunks:
-            got = occupancy.take(x, y, units)
-            if got != units:
-                if got:
-                    occupancy.release([(x, y, got)])
-                occupancy.release(taken)
-                return None
-            taken.append((x, y, units))
-        return taken
-
-    def _allocate(
+    def _allocate_and_put(
         self,
         cell: Cell,
         desired: Tuple[float, float],
         occupancy: Occupancy,
-    ) -> List[Tuple[int, int, int]]:
-        """Search the occupancy for ``cell``'s demand near ``desired``."""
+        placement: Placement,
+    ) -> None:
+        """Seat ``cell`` at the nearest free capacity to ``desired`` and
+        record its chunks, position and radius."""
         dx, dy = desired
         if cell.kind is CellKind.PORT:
             # Ports pin to the die's left edge at the requested row.
             dx = 0.0
-        return occupancy.allocate(
+        chunks = occupancy.allocate(
             max(0, min(self.fabric.cols - 1, int(round(dx)))),
             max(0, min(self.fabric.rows - 1, int(round(dy)))),
             _col_kind_for(cell),
             _demand_of(cell),
         )
-
-    def _commit_chunks(
-        self,
-        cell: Cell,
-        chunks: List[Tuple[int, int, int]],
-        placement: Placement,
-    ) -> None:
-        """Bind allocated chunks to ``cell``: position, radius, bookkeeping."""
         self._chunks[cell.name] = chunks
         total = sum(units for _x, _y, units in chunks)
         x = sum(cx * units for cx, _y, units in chunks) / total
@@ -701,12 +605,3 @@ class Placer:
             ys = [cy for _x, cy, _u in chunks]
             radius = ((max(xs) - min(xs)) + (max(ys) - min(ys))) / 4.0
         placement.put(cell, x, y, radius)
-
-    def _allocate_and_put(
-        self,
-        cell: Cell,
-        desired: Tuple[float, float],
-        occupancy: Occupancy,
-        placement: Placement,
-    ) -> None:
-        self._commit_chunks(cell, self._allocate(cell, desired, occupancy), placement)

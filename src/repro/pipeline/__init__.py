@@ -17,7 +17,6 @@ from repro.pipeline.digest import (
     design_digest,
     table_digest,
 )
-from repro.pipeline.incremental import IncrementalState, coerce_switch
 from repro.pipeline.manager import ACTION_RUN, ACTION_SKIPPED, PassManager
 from repro.pipeline.stage import STAGE_DIGEST_SCHEMA, Stage
 from repro.pipeline.stages import (
@@ -51,7 +50,6 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "DESIGN_DIGEST_SCHEMA",
     "IIAnalysisStage",
-    "IncrementalState",
     "MemoryStageStore",
     "PassManager",
     "PlacementStage",
@@ -70,7 +68,6 @@ __all__ = [
     "TABLE_DIGEST_SCHEMA",
     "TimingStage",
     "build_stages",
-    "coerce_switch",
     "decode_outputs",
     "design_digest",
     "encode_outputs",

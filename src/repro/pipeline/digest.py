@@ -32,10 +32,10 @@ DESIGN_DIGEST_SCHEMA = "repro-design-digest/1"
 #: Version tag of calibration-table content digests.
 TABLE_DIGEST_SCHEMA = "repro-calibration-table-digest/1"
 
-#: Version tag of per-loop structural digests (incremental memo keys).
+#: Version tag of per-loop structural digests (see :func:`loop_digest`).
 LOOP_DIGEST_SCHEMA = "repro-loop-digest/1"
 
-#: Version tag of schedule-decision content digests.
+#: Version tag of schedule-map digests (see :func:`schedules_digest`).
 SCHEDULE_DIGEST_SCHEMA = "repro-schedule-digest/1"
 
 
@@ -139,14 +139,9 @@ def design_digest(design: Design) -> str:
     )
 
 
+# Kept only because perfbench/spans.py wraps it by name.
 def loop_digest(kernel_name: str, loop: Any) -> str:
-    """Content digest of one kernel loop (body, pragmas, op attributes).
-
-    The incremental memo key for per-loop scheduling and RTL emission:
-    because :func:`_encode_dfg` covers every op attribute (including
-    ``extra_latency``), two loops alias only when a scheduler/emitter run
-    over them is guaranteed to make identical decisions.
-    """
+    """Content digest of one kernel loop (body, pragmas, op attributes)."""
     return content_digest(
         {
             "schema": LOOP_DIGEST_SCHEMA,
@@ -162,15 +157,8 @@ def loop_digest(kernel_name: str, loop: Any) -> str:
 
 
 def _encode_schedule_decisions(schedule: Any) -> Dict[str, Any]:
-    """Canonical encoding of a schedule's *decisions*.
-
-    Deliberately excludes ``clock_ns`` and the violation list: no pipeline
-    stage downstream of scheduling reads either (ii-analysis and rtl-gen
-    consume entries/attrs only; violations are report-layer output whose
-    ``budget_ns`` varies with the clock).  Excluding them is what lets a
-    clock bump that changes no chaining decision cut off the entire
-    backend (rtl-gen → placement → … → timing all replay).
-    """
+    """Canonical encoding of a schedule's decisions (not its clock or
+    violation list)."""
     return {
         "model": schedule.model_name,
         "entries": [
@@ -180,13 +168,7 @@ def _encode_schedule_decisions(schedule: Any) -> Dict[str, Any]:
     }
 
 
-def schedule_decisions_digest(schedule: Any) -> str:
-    """Content digest of one loop's schedule decisions."""
-    return content_digest(
-        {"schema": SCHEDULE_DIGEST_SCHEMA, **_encode_schedule_decisions(schedule)}
-    )
-
-
+# Kept only because perfbench/spans.py wraps it by name.
 def schedules_digest(schedules: Dict[Any, Any]) -> str:
     """Content digest of a full ``(kernel, loop) -> Schedule`` map."""
     return content_digest(

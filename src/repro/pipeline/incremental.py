@@ -1,79 +1,26 @@
-"""In-process incremental-recompilation state (sweep damage cones).
+"""The on-disk memo namespace (``$REPRO_CACHE_DIR/memos``).
 
-A parameter sweep re-runs the flow with one knob changed — the clock
-target, the calibration table, a single pragma.  The stage-digest chain
-(:mod:`repro.pipeline.digest`) already skips stages whose *inputs* are
-byte-identical; this module holds the finer-grained memos that shrink the
-work of the stages that **do** re-run:
-
-* ``sched`` — per-loop scheduling decisions keyed by (loop content, clock,
-  calibration).  A single-pragma flip re-chains only the flipped loop; all
-  other loops replay their previous :class:`~repro.scheduling.schedule.Schedule`.
-* ``rtl`` — per-loop emission tapes keyed by (loop content, schedule
-  decisions, control style).  A loop whose schedule slice is unchanged is
-  re-emitted by replaying its recorded cell/net tape instead of re-running
-  the emitter logic.
-* ``place`` — the previous run's greedy-placement trajectory.  Cells whose
-  neighborhood state is unchanged re-take their recorded tile chunks
-  (skipping the free-capacity search); the first divergence falls
-  back to fresh allocation for the rest of the order.
-* ``overlay`` — a persistent in-process
-  :class:`~repro.pipeline.store.MemoryStageStore` shared by every run of
-  the owning flow.  It is what turns the stage-digest chain into a *sweep*
-  damage cone: a re-run point whose stage inputs are byte-identical skips
-  the stage outright (the overlay hands back a fresh unpickled copy of the
-  previous outputs), so only the stages inside the dirty cone execute.
-
-All three memos are *exact*: every replay reproduces bit-identical state
-(tests/test_incremental_flow.py proves fingerprint equality against
-from-scratch runs, and the ``incremental`` fuzz check does the same over
-random programs).  The state lives on the :class:`~repro.flow.Flow`
-instance and works even with the stage-artifact store disabled.
-
-Persistence: each memo write-throughs to an on-disk :class:`MemoSpill`
-under ``$REPRO_CACHE_DIR/memos`` (keyed by the content digest of the memo
-key), so a *fresh* ``Flow`` — a recycled service worker, a new sweep
-process — warms up from the previous owner's entries instead of starting
-cold.  Disk hits count into the same ``incremental.<name>_hits`` counters
-(plus ``incremental.<name>_spill_hits``); a memo key or value that cannot
-be canonicalized/pickled simply stays memory-only.
-
-Escape hatch: ``Flow(incremental=False)`` or ``--incremental off`` turns
-the memos, their spill and the overlay off together.
+No flow code reads or writes it any more: the only reuse rule left is the
+stage store's (a stage is skipped when its input digest hits
+``$REPRO_CACHE_DIR/stages``).  :class:`MemoSpill` stays because the
+benchmark's span hooks (``perfbench/spans.py``) wrap its methods by name.
 """
 
 from __future__ import annotations
 
 import pickle
-from contextlib import contextmanager
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Hashable, Optional
 
-from repro import obs
 from repro.hashing import content_digest
-from repro.pipeline.store import MemoryStageStore
-from repro.store import BlobStore, MemoryLru, namespace_dir
-
-#: Switch strings (``--incremental off``, ``stage_cache="no"``) that mean
-#: "disabled".
-_OFF_VALUES = ("off", "0", "no", "false")
-
-
-def coerce_switch(setting: Any) -> bool:
-    """Normalize a ``Flow(incremental=...)``/``Flow(stage_cache=...)``
-    switch to a boolean (``None`` means the default: on)."""
-    if setting is None:
-        return True
-    if isinstance(setting, str):
-        return setting.strip().lower() not in _OFF_VALUES
-    return bool(setting)
-
+from repro.store import BlobStore, namespace_dir
 
 #: On-disk payload format marker (checked on load; a mismatch is a miss).
 SPILL_SCHEMA = "repro-memo-spill/1"
 
 
+# Kept only because perfbench/spans.py wraps load/save/prune by name.
 class MemoSpill(BlobStore):
-    """The shared on-disk side of the incremental memos.
+    """A bounded namespace of pickled memo entries.
 
     One namespace of pickle files, each holding a single memo entry named
     ``<memo>-<sha256(key)>.pkl``.  Keys are canonical-JSON content
@@ -156,102 +103,3 @@ class MemoSpill(BlobStore):
         """Delete the oldest entries beyond ``max_entries``; returns the
         number removed."""
         return self.evict()
-
-
-class _LruMemo(MemoryLru):
-    """A bounded insertion-refreshed memo with hit/miss counters.
-
-    With a :class:`MemoSpill` attached, an in-memory miss consults disk
-    before declaring a real miss, and every put write-throughs — so the
-    memo's warm state outlives this process.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        max_entries: int,
-        spill: Optional[MemoSpill] = None,
-    ) -> None:
-        super().__init__(max_entries)
-        self.name = name
-        self.spill = spill
-        self.hits = 0
-        self.misses = 0
-        self.spill_hits = 0
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        hit = super().get(key)
-        if hit is None and self.spill is not None:
-            hit = self.spill.load(self.name, key)
-            if hit is not None:
-                super().put(key, hit)
-                self.spill_hits += 1
-                obs.add(f"incremental.{self.name}_spill_hits")
-        if hit is None:
-            self.misses += 1
-            obs.add(f"incremental.{self.name}_misses")
-            return None
-        self.hits += 1
-        obs.add(f"incremental.{self.name}_hits")
-        return hit
-
-    def put(self, key: Hashable, value: Any) -> None:
-        super().put(key, value)
-        if self.spill is not None:
-            self.spill.save(self.name, key, value)
-
-
-class IncrementalState:
-    """Per-:class:`~repro.flow.Flow` workspace of incremental memos.
-
-    Bounded so week-long sweep processes cannot grow without limit; the
-    bounds are generous relative to real sweeps (a 9-design × 2-config ×
-    10-point campaign touches well under 1k loops).
-    """
-
-    MAX_SCHED_ENTRIES = 1024
-    MAX_RTL_ENTRIES = 1024
-    MAX_PLACE_ENTRIES = 64
-    #: ~12 warm sweep points (a full run writes ~11 stage bundles).
-    MAX_OVERLAY_ENTRIES = 128
-
-    def __init__(self, spill: Optional[MemoSpill] = None) -> None:
-        self.spill = spill
-        self.sched = _LruMemo("sched", self.MAX_SCHED_ENTRIES, spill=spill)
-        self.rtl = _LruMemo("rtl", self.MAX_RTL_ENTRIES, spill=spill)
-        self.place = _LruMemo("place", self.MAX_PLACE_ENTRIES, spill=spill)
-        #: Stage outputs shared across this flow's runs (hits unpickle
-        #: fresh copies, so cross-run mutation cannot alias).  Not spilled:
-        #: the stage-artifact store (``$REPRO_CACHE_DIR/stages``) already
-        #: persists the same bundles content-addressed on disk.
-        self.overlay = MemoryStageStore(max_entries=self.MAX_OVERLAY_ENTRIES)
-
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        return {
-            memo.name: {
-                "entries": len(memo),
-                "hits": memo.hits,
-                "misses": memo.misses,
-                "spill_hits": memo.spill_hits,
-            }
-            for memo in (self.sched, self.rtl, self.place)
-        }
-
-
-@contextmanager
-def ensure_traced():
-    """Guarantee a real :class:`~repro.obs.Tracer` is active.
-
-    Memo entries bundle a span snapshot (replayed on hits so warm runs
-    report the producer's counters — ``scheduling.registers_inserted``
-    and friends).  An untraced producer run would snapshot nothing and
-    starve every later traced replay, so mirror the
-    :class:`~repro.pipeline.manager.PassManager` trick: activate a private
-    shadow tracer for the duration when none is active.
-    """
-    tracer = obs.current_tracer()
-    if isinstance(tracer, obs.Tracer):
-        yield
-    else:
-        with obs.activate(obs.Tracer()):
-            yield

@@ -177,7 +177,6 @@ class PassManager:
     ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
         journal: List[Dict[str, Any]] = []
         key_digests: Dict[str, str] = {"design": design_digest(ctx["design"])}
-        incremental = bool(getattr(flow, "incremental_enabled", False))
         if not isinstance(ctx, _LazyContext):
             ctx = _LazyContext(ctx)
         for stage in self.stages:
@@ -193,9 +192,6 @@ class PassManager:
                     # supersedes these keys before anyone reads them, in
                     # which case this bundle is never loaded at all.
                     ctx.defer(stage.outputs, hit)
-                    content: Dict[str, str] = (
-                        dict(hit.meta.get("content") or {}) if incremental else {}
-                    )
                     obs.replay_span(span, hit.meta.get("span") or {})
                     span.set("cached", True)
                     tracer.add("pipeline.stages_skipped")
@@ -203,19 +199,6 @@ class PassManager:
                 else:
                     outputs = dict(stage.run(flow, config, ctx, span) or {})
                     ctx.update(outputs)
-                    # Early cutoff (incremental mode): chain each output
-                    # key from its *content* digest where the stage can
-                    # provide one, so a re-run that reproduced identical
-                    # outputs invalidates nothing downstream.  Computed now
-                    # — before any later stage mutates the live objects in
-                    # place — and stored in the artifact sidecar so a skip
-                    # can chain the same digests without loading outputs.
-                    content = {}
-                    if incremental:
-                        content = (
-                            stage.content_digests(flow, config, ctx, outputs)
-                            or {}
-                        )
                     if stage.cacheable and caching:
                         # Snapshot and pickle *now*: later stages mutate
                         # these objects in place (scheduling edits loop
@@ -226,7 +209,6 @@ class PassManager:
                             "schema": STAGE_STORE_SCHEMA,
                             "stage": stage.name,
                             "span": obs.snapshot_span(span),
-                            "content": content,
                         }
                         if self.overlay is not None:
                             self.overlay.put(digest, payload, meta)
@@ -235,7 +217,7 @@ class PassManager:
                     tracer.add("pipeline.stages_run")
                     action = ACTION_RUN
             for key in stage.outputs:
-                key_digests[key] = content.get(key, digest)
+                key_digests[key] = digest
             duration_ms = round((time.perf_counter() - started) * 1e3, 3)
             journal.append(
                 {
@@ -245,7 +227,6 @@ class PassManager:
                     "source": source,
                     "cacheable": stage.cacheable,
                     "duration_ms": duration_ms,
-                    "content_keys": sorted(content),
                 }
             )
             if stage.cacheable and caching:

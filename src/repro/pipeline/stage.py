@@ -64,29 +64,6 @@ class Stage:
         """Execute the stage; returns the output bindings."""
         raise NotImplementedError
 
-    def content_digests(
-        self,
-        flow: "Flow",
-        config: "OptimizationConfig",
-        ctx: Dict[str, Any],
-        outputs: Dict[str, Any],
-    ) -> Dict[str, str]:
-        """Content digests of (a subset of) this stage's outputs.
-
-        Salsa-style early cutoff: when incremental recompilation is on, the
-        manager chains each output key's digest from the *content* returned
-        here instead of the stage's provenance digest.  A stage that re-ran
-        (new inputs) but produced byte-identical outputs then leaves every
-        downstream digest unchanged, so the whole downstream cone replays
-        from the artifact store — e.g. a clock bump that changes no
-        scheduling decision skips rtl-gen through timing.
-
-        Only return a digest for a key when it covers **everything** any
-        downstream stage reads from that output; keys omitted here fall
-        back to provenance chaining (always sound, merely conservative).
-        """
-        return {}
-
     def input_digest(
         self, params: Dict[str, Any], key_digests: Dict[str, str]
     ) -> str:

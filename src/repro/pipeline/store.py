@@ -93,8 +93,8 @@ class MemoryStageStore:
     share across runs without touching disk.
 
     ``max_entries`` bounds the store LRU-style (a hit refreshes recency);
-    ``None`` means unbounded, which is fine for a single compare but not
-    for the per-flow overlay a week-long sweep keeps alive.
+    ``None`` means unbounded, which is fine for a single compare or sweep
+    but not for an overlay kept alive across many runs.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:

@@ -20,9 +20,8 @@ the control structures whose implementation choice the paper studies:
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.control.minarea import CutPlan, end_buffer_plan, min_area_cuts
@@ -109,20 +108,11 @@ def generate_netlist(
     design: Design,
     schedules: Dict[Tuple[str, str], Schedule],
     options: Optional[GenOptions] = None,
-    incremental: Optional[Any] = None,
 ) -> GenResult:
     """Generate the full-design netlist.
 
     ``schedules`` maps ``(kernel_name, loop_name)`` to the loop's schedule.
     The design must already be pragma-lowered (loops unrolled).
-
-    ``incremental`` is an optional per-loop emission memo (the ``rtl``
-    :class:`~repro.pipeline.incremental._LruMemo` of the flow's incremental
-    state).  When set, every loop whose (content, schedule decisions,
-    control options, shared buffer/fifo signature) matches a memoized loop
-    is re-emitted by replaying its recorded cell/net tape — byte-identical
-    names, insertion order, and :class:`LoopInfo` bookkeeping — instead of
-    re-running the emitter logic.
     """
     options = options or GenOptions()
     netlist = Netlist(design.name)
@@ -171,99 +161,53 @@ def generate_netlist(
                 f"ext_{fifo.name}", pad, [(cell, "ext")], kind=NetKind.CLOCKLESS
             )
 
-    if incremental is not None:
-        # Deferred: ``repro.pipeline`` imports this module at package init.
-        from repro.pipeline.digest import loop_digest, schedule_decisions_digest
-        from repro.pipeline.incremental import ensure_traced
-
-        # Loop tapes reference the shared BRAM/FIFO cells by name, so the
-        # memo key pins the shared-cell layout alongside the loop content.
-        buffers_sig = tuple(sorted(
-            (b.name, b.bram36_units(), b.elem_type.bits, b.depth, b.partition)
-            for b in design.buffers.values()
-        ))
-        fifos_sig = tuple(sorted(
-            (f.name, f.width, f.depth, bool(f.external))
-            for f in design.fifos.values()
-        ))
-        guard = ensure_traced()
-    else:
-        guard = nullcontext()
-
     loop_infos: List[LoopInfo] = []
-    with guard:
-        for kernel in design.kernels:
-            prev_ctrl: Optional[Cell] = None
-            for loop in kernel.loops:
-                schedule = schedules.get((kernel.name, loop.name))
-                if schedule is None:
-                    raise RTLError(
-                        f"missing schedule for {kernel.name}/{loop.name}"
-                    )
-                record = incremental is not None
-                emitter = _LoopEmitter(
-                    netlist, design, kernel, loop, schedule, options,
-                    buffer_cells, fifo_cells, record=record,
+    for kernel in design.kernels:
+        prev_ctrl: Optional[Cell] = None
+        for loop in kernel.loops:
+            schedule = schedules.get((kernel.name, loop.name))
+            if schedule is None:
+                raise RTLError(f"missing schedule for {kernel.name}/{loop.name}")
+            emitter = _LoopEmitter(
+                netlist, design, kernel, loop, schedule, options,
+                buffer_cells, fifo_cells,
+            )
+            with obs.span(
+                "emit-loop", kernel=kernel.name, loop=loop.name
+            ) as loop_span:
+                cells_before = len(netlist.cells)
+                info = emitter.emit()
+                loop_span.set("depth", info.depth)
+                loop_span.set("cells", len(netlist.cells) - cells_before)
+                loop_span.set("enable_fanout", info.enable_fanout)
+            obs.add("rtl.loops_emitted", 1)
+            loop_infos.append(info)
+            # Each loop gets its own small controller (HLS emits one FSM
+            # per process/loop nest) talking only to that loop's flow gate.
+            if info.control_gate is not None:
+                ctrl = netlist.new_cell(
+                    f"fsm_{kernel.name}_{loop.name}",
+                    CellKind.CTRL,
+                    delay_ns=CTRL_CLK_Q_NS,
+                    ffs=8,
+                    luts=20,
                 )
-                key = hit = None
-                if incremental is not None:
-                    key = (
-                        loop_digest(kernel.name, loop),
-                        schedule_decisions_digest(schedule),
-                        options.control.value,
-                        options.max_skid_buffers,
-                        buffers_sig,
-                        fifos_sig,
-                    )
-                    hit = incremental.get(key)
-                with obs.span(
-                    "emit-loop", kernel=kernel.name, loop=loop.name
-                ) as loop_span:
-                    cells_before = len(netlist.cells)
-                    if hit is not None:
-                        info = emitter.replay(hit)
-                        obs.replay_span(loop_span, hit["span"])
-                        loop_span.set("cached", True)
-                    else:
-                        info = emitter.emit()
-                        loop_span.set("depth", info.depth)
-                        loop_span.set("cells", len(netlist.cells) - cells_before)
-                        loop_span.set("enable_fanout", info.enable_fanout)
-                        if incremental is not None:
-                            incremental.put(
-                                key,
-                                emitter.record_payload(obs.snapshot_span(loop_span)),
-                            )
-                obs.add("rtl.loops_emitted", 1)
-                loop_infos.append(info)
-                # Each loop gets its own small controller (HLS emits one
-                # FSM per process/loop nest) talking only to that loop's
-                # flow gate.
-                if info.control_gate is not None:
-                    ctrl = netlist.new_cell(
-                        f"fsm_{kernel.name}_{loop.name}",
-                        CellKind.CTRL,
-                        delay_ns=CTRL_CLK_Q_NS,
-                        ffs=8,
-                        luts=20,
-                    )
+                netlist.connect(
+                    f"fsm_go_{kernel.name}_{loop.name}",
+                    ctrl,
+                    [(info.control_gate, "go")],
+                    kind=NetKind.SYNC,
+                )
+                # Sequential loops of one kernel hand off through their
+                # controllers (loop1 done -> loop2 start): tiny sync nets.
+                if prev_ctrl is not None:
                     netlist.connect(
-                        f"fsm_go_{kernel.name}_{loop.name}",
-                        ctrl,
-                        [(info.control_gate, "go")],
+                        f"fsm_seq_{kernel.name}_{loop.name}",
+                        prev_ctrl,
+                        [(ctrl, "next")],
                         kind=NetKind.SYNC,
                     )
-                    # Sequential loops of one kernel hand off through
-                    # their controllers (loop1 done -> loop2 start): tiny
-                    # sync nets.
-                    if prev_ctrl is not None:
-                        netlist.connect(
-                            f"fsm_seq_{kernel.name}_{loop.name}",
-                            prev_ctrl,
-                            [(ctrl, "next")],
-                            kind=NetKind.SYNC,
-                        )
-                    prev_ctrl = ctrl
+                prev_ctrl = ctrl
     netlist.validate()
     return GenResult(
         netlist=netlist,
@@ -286,7 +230,6 @@ class _LoopEmitter:
         options: GenOptions,
         buffer_cells: Dict[str, List[Cell]],
         fifo_cells: Dict[str, Cell],
-        record: bool = False,
     ) -> None:
         self.netlist = netlist
         self.design = design
@@ -296,12 +239,6 @@ class _LoopEmitter:
         self.options = options
         self.buffer_cells = buffer_cells
         self.fifo_cells = fifo_cells
-        #: When recording, the ordered cell/net construction tape — every
-        #: ``_cell``/``_connect`` call with its *arguments* (cells and nets
-        #: interleaved in insertion order, which placement depends on).
-        #: Replaying the tape through the same helpers reproduces names,
-        #: uniquification, and LoopInfo bookkeeping bit-identically.
-        self.tape: Optional[List[tuple]] = [] if record else None
         self.prefix = f"{kernel.name}.{loop.name}"
         #: value name -> cell providing it in its definition cycle
         self.def_cells: Dict[str, Cell] = {}
@@ -317,8 +254,6 @@ class _LoopEmitter:
 
     # -- small helpers ---------------------------------------------------
     def _cell(self, stem: str, kind: CellKind, stage: int, **kwargs) -> Cell:
-        if self.tape is not None:
-            self.tape.append(("cell", stem, kind, stage, dict(kwargs)))
         cell = self.netlist.new_cell(f"{self.prefix}.{stem}", kind, **kwargs)
         self.info.stage_cells.setdefault(stage, []).append(cell)
         if cell.is_sequential:
@@ -326,74 +261,6 @@ class _LoopEmitter:
         if stage <= 0:
             self.info.first_stage_cells.append(cell)
         return cell
-
-    def _connect(
-        self,
-        name: str,
-        driver: Cell,
-        sinks: List[Tuple[Cell, str]],
-        kind: NetKind = NetKind.DATA,
-        width: int = 1,
-    ):
-        """``netlist.connect`` with tape recording (sinks/driver by name)."""
-        if self.tape is not None:
-            self.tape.append(
-                ("net", name, driver.name,
-                 [(cell.name, pin) for cell, pin in sinks], kind, width)
-            )
-        connect = self.netlist.connect
-        return connect(name, driver, sinks, kind=kind, width=width)
-
-    def record_payload(self, span_snapshot: Dict[str, Any]) -> Dict[str, Any]:
-        """Freeze this emission into a memo payload (everything by name)."""
-        info = self.info
-        return {
-            "tape": self.tape,
-            "statuses": info.statuses,
-            "enable_fanout": info.enable_fanout,
-            "skid_specs": list(info.skid_specs),
-            "call_cells": [cell.name for cell in info.call_cells],
-            "control_gate": (
-                info.control_gate.name if info.control_gate is not None else None
-            ),
-            "span": span_snapshot,
-        }
-
-    def replay(self, hit: Dict[str, Any]) -> LoopInfo:
-        """Re-emit this loop from a recorded tape.
-
-        The tape replays through :meth:`_cell` (reproducing name
-        uniquification and stage/sequential bookkeeping) and raw
-        ``netlist.connect`` with driver/sinks resolved by their recorded
-        names — valid because all emitter names are loop-prefixed and the
-        shared BRAM/FIFO cell layout is pinned by the memo key, so the
-        names a replayed loop produces are independent of what *other*
-        (possibly changed) loops emitted.
-        """
-        self.tape = None  # never re-record a replay
-        cells = self.netlist.cells
-        connect = self.netlist.connect
-        for entry in hit["tape"]:
-            if entry[0] == "cell":
-                _tag, stem, kind, stage, kwargs = entry
-                self._cell(stem, kind, stage, **kwargs)
-            else:
-                _tag, name, driver, sinks, kind, width = entry
-                connect(
-                    name,
-                    cells[driver],
-                    [(cells[sink], pin) for sink, pin in sinks],
-                    kind=kind,
-                    width=width,
-                )
-        info = self.info
-        info.statuses = hit["statuses"]
-        info.enable_fanout = hit["enable_fanout"]
-        info.skid_specs = list(hit["skid_specs"])
-        info.call_cells = [cells[name] for name in hit["call_cells"]]
-        gate = hit["control_gate"]
-        info.control_gate = cells[gate] if gate is not None else None
-        return info
 
     def _bank_cells(self, op: Operation) -> List[Cell]:
         buffer: Buffer = op.attrs["buffer"]
@@ -425,7 +292,7 @@ class _LoopEmitter:
                 width=width,
                 movable=True,
             )
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.{stem}_p{i}", cursor, [(reg, "d")], kind=kind, width=width
             )
             cursor = reg
@@ -497,7 +364,7 @@ class _LoopEmitter:
                 f"rd_{op.name}", CellKind.LOGIC, stage,
                 delay_ns=FIFO_PORT_NS, luts=6, width=fifo.width,
             )
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.{fifo.name}_dout",
                 self.fifo_cells[fifo.name],
                 [(port, "dout")],
@@ -513,7 +380,7 @@ class _LoopEmitter:
                 f"wr_{op.name}", CellKind.LOGIC, stage,
                 delay_ns=FIFO_PORT_NS, luts=6, width=fifo.width,
             )
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.{fifo.name}_din",
                 port,
                 [(self.fifo_cells[fifo.name], "din")],
@@ -590,7 +457,7 @@ class _LoopEmitter:
                     width=op.result.type.bits,
                     movable=True,
                 )
-                self._connect(
+                self.netlist.connect(
                     f"{self.prefix}.call_{op.name}_q", cell, [(out_reg, "d")],
                     kind=NetKind.DATA, width=op.result.type.bits,
                 )
@@ -625,7 +492,7 @@ class _LoopEmitter:
                 delay_ns=CLK_Q_NS, ffs=max(1, dtype.bits), width=dtype.bits,
                 movable=True,
             )
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.op_{op.name}_s{s}", cursor, [(reg, "d")],
                 kind=NetKind.DATA, width=dtype.bits,
             )
@@ -640,7 +507,7 @@ class _LoopEmitter:
                 width=dtype.bits, tag=op.opcode.value,
                 movable=True,  # internal core stage, relocatable by retiming
             )
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.op_{op.name}_s{s}b", reg, [(stage_cell, "i")],
                 kind=NetKind.DATA, width=dtype.bits,
             )
@@ -667,7 +534,7 @@ class _LoopEmitter:
         structure the paper criticizes).
         """
         if reg_layers <= 0 or len(sinks) <= 4:
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.{stem}", source, sinks, kind=kind, width=width
             )
             return
@@ -695,7 +562,7 @@ class _LoopEmitter:
                 stage + 1,
                 kind=kind,
             )
-        self._connect(
+        self.netlist.connect(
             f"{self.prefix}.{stem}", source, level_sinks, kind=kind, width=width
         )
 
@@ -724,7 +591,7 @@ class _LoopEmitter:
                     delay_ns=LOAD_MUX_LOGIC_NS, luts=6 * len(chunk), width=width,
                 )
                 for i, src in enumerate(chunk):
-                    self._connect(
+                    self.netlist.connect(
                         f"{self.prefix}.{stem}_q{level}_{ci}_{i}",
                         src,
                         [(mux, f"q{i}")],
@@ -737,7 +604,7 @@ class _LoopEmitter:
                     f"{stem}_mr{level}_{ci}", CellKind.FF, stage + level,
                     delay_ns=CLK_Q_NS, ffs=width, width=width, movable=True,
                 )
-                self._connect(
+                self.netlist.connect(
                     f"{self.prefix}.{stem}_mr{level}_{ci}",
                     mux,
                     [(reg, "d")],
@@ -791,7 +658,7 @@ class _LoopEmitter:
                 obs.add("rtl.pipeline_registers", 1)
                 sinks.append((reg, "d"))
             if sinks:
-                self._connect(
+                self.netlist.connect(
                     f"{self.prefix}.{value.name}_c{cycle}",
                     cursor,
                     sinks,
@@ -818,7 +685,7 @@ class _LoopEmitter:
         )
         self.info.control_gate = agg
         for i, fifo_cell in enumerate(statuses):
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.status{i}",
                 fifo_cell,
                 [(agg, f"s{i}")],
@@ -841,7 +708,7 @@ class _LoopEmitter:
         if targets:
             self.info.enable_fanout = len(targets)
             obs.observe("rtl.enable_fanout", len(targets))
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.enable", agg, targets, kind=NetKind.ENABLE
             )
 
@@ -864,7 +731,7 @@ class _LoopEmitter:
             )
             valids.append(v)
         for c in range(depth - 1):
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.vchain{c}", valids[c], [(valids[c + 1], "d")],
                 kind=NetKind.ENABLE,
             )
@@ -880,7 +747,7 @@ class _LoopEmitter:
                 if op.opcode is Opcode.FIFO_WRITE and self.schedule.entry(op).cycle == c:
                     sinks.append((self.fifo_cells[op.attrs["fifo"].name], "en"))
             if sinks:
-                self._connect(
+                self.netlist.connect(
                     f"{self.prefix}.ven{c}", valids[c], sinks, kind=NetKind.ENABLE
                 )
             # Bank write-enables ride a registered tree matching the data
@@ -917,7 +784,7 @@ class _LoopEmitter:
                 if c.kind is CellKind.FF and c.width > 1
             ][:4] or [valids[stage]]
             for i, feeder in enumerate(feeders):
-                self._connect(
+                self.netlist.connect(
                     f"{self.prefix}.skid_in{spec.after_stage}_{i}",
                     feeder,
                     [(cell, "din")],
@@ -936,7 +803,7 @@ class _LoopEmitter:
         )
         self.info.control_gate = gate
         for i, cell in enumerate(statuses):
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.sstat{i}", cell, [(gate, f"s{i}")], kind=NetKind.STATUS
             )
         # The comb gate drives only the head valid register and the FIFO
@@ -946,7 +813,7 @@ class _LoopEmitter:
         targets: List[Tuple[Cell, str]] = [(valids[0], "ce")]
         for name in self.loop.fifo_endpoints()[0]:
             targets.append((self.fifo_cells[name], "ren"))
-        self._connect(
+        self.netlist.connect(
             f"{self.prefix}.read_en", gate, targets, kind=NetKind.ENABLE
         )
         # Only FIFO read ports are gated: plain capture registers free-run
@@ -959,7 +826,7 @@ class _LoopEmitter:
         self.info.enable_fanout = len(targets) + len(capture)
         obs.observe("rtl.enable_fanout", self.info.enable_fanout)
         if capture:
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.capture_en", valids[0], capture, kind=NetKind.ENABLE
             )
 
@@ -987,7 +854,7 @@ class _LoopEmitter:
                 delay_ns=CLK_Q_NS, ffs=1, width=1,
             )
             done_ffs[op.name] = cell
-            self._connect(
+            self.netlist.connect(
                 f"{self.prefix}.done_{op.name}",
                 self.sink_cells[op.name],
                 [(cell, "d")],
@@ -1017,13 +884,13 @@ class _LoopEmitter:
                 width=1,
             )
             for op in calls:
-                self._connect(
+                self.netlist.connect(
                     f"{self.prefix}.dnet_{op.name}",
                     done_ffs[op.name],
                     [(reduce_gate, f"d_{op.name}")],
                     kind=NetKind.SYNC,
                 )
             driver = reduce_gate
-        self._connect(
+        self.netlist.connect(
             f"{self.prefix}.start", driver, sinks, kind=NetKind.SYNC
         )

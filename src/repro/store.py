@@ -7,7 +7,6 @@ Everything the reproduction persists lives under one root,
 namespace          files per entry                       LRU bound
 =================  ====================================  ==============
 ``stages/``        ``<digest>.pkl`` + ``<digest>.json``  512
-``memos/``         ``<memo>-<digest>.pkl``               4096
 ``results/``       ``<digest>.pkl`` + ``<digest>.json``  256 (settable)
 ``traces/``        ``<digest>.json``                     256
 (root)             ``calibration-v1-<device>-...json``   none
@@ -16,7 +15,6 @@ namespace          files per entry                       LRU bound
 
 A :class:`BlobStore` is one namespace directory.  The typed views
 (:class:`~repro.pipeline.store.StageArtifactStore`,
-:class:`~repro.pipeline.incremental.MemoSpill`,
 :class:`~repro.service.store.ResultStore`,
 :class:`~repro.service.traces.TraceStore`, the calibration helpers in
 :mod:`repro.delay.cache`) own only their file formats; the mechanics are
@@ -40,7 +38,7 @@ here, once:
   so an eviction after the lookup cannot break a deferred decode.
 
 :class:`MemoryLru` is the in-memory counterpart: the bounded map behind
-the stage overlay, the incremental memos and the calibration memo.
+the stage overlay and the calibration memo.
 """
 
 from __future__ import annotations

@@ -1,16 +1,15 @@
-"""Equivalence proof: incremental recompilation can never change an answer.
+"""Equivalence proof: stage reuse across a sweep never changes an answer.
 
-For every registered design × {BASELINE, FULL} × perturbation, a warm
-incremental flow (seeded by a prior run at the original operating point)
-must produce bit-identical fingerprints and result digests to a fresh
-flow compiling the perturbed point from scratch with every reuse path
-disabled.  The perturbations are the three single-knob sweep moves the
-incremental machinery is built for:
+For every registered design × {BASELINE, FULL} × perturbation, a flow
+backed by a stage store that already holds the original operating point's
+artifacts must produce bit-identical fingerprints and result digests to a
+fresh flow compiling the perturbed point from scratch with the stage cache
+off.  The perturbations are the three single-knob sweep moves:
 
-* **clock-bump** — same design, new clock target (per-loop scheduling
-  memos miss on clock, everything upstream of scheduling is overlay-skipped);
-* **pragma-flip** — one loop's pipeline pragma toggled (damage cone:
-  only the affected loop re-schedules / re-emits);
+* **clock-bump** — same design, new clock target (everything upstream of
+  scheduling is served from the store);
+* **pragma-flip** — one loop's pipeline pragma toggled (the design digest
+  changes, so every stage re-runs);
 * **calibration-swap** — a perturbed calibration table injected
   (scheduling and downstream re-run; pragma/sync-pruning are skipped).
 """
@@ -22,13 +21,14 @@ import pytest
 from repro.designs import build_design, design_names
 from repro.flow import Flow
 from repro.opt import BASELINE, FULL
+from repro.pipeline import StageArtifactStore
 
 CONFIGS = {"orig": BASELINE, "full": FULL}
 SCENARIOS = ("clock-bump", "pragma-flip", "calibration-swap")
 
 #: Off every design's default operating point (registry designs pin 300 or
 #: 333 MHz in their meta) — a bump to a design's own default is a no-op
-#: the incremental machinery would rightly skip end-to-end.
+#: the stage store would rightly skip end-to-end.
 BUMPED_CLOCK_MHZ = 217
 
 
@@ -57,17 +57,16 @@ def _perturbed_table(table):
 @pytest.mark.parametrize("config_key", sorted(CONFIGS))
 @pytest.mark.parametrize("design_name", design_names())
 def test_incremental_matches_scratch(
-    design_name, config_key, scenario, synthetic_table
+    design_name, config_key, scenario, synthetic_table, tmp_path
 ):
     config = CONFIGS[config_key]
     inc = Flow(
-        calibration=synthetic_table, stage_cache=False, incremental=True
+        calibration=synthetic_table,
+        stage_cache=StageArtifactStore(root=str(tmp_path / "stages")),
     )
-    inc.run(build_design(design_name), config)  # seed memos + overlay
+    inc.run(build_design(design_name), config)  # seed the stage store
 
-    scratch_kwargs = dict(
-        calibration=synthetic_table, stage_cache=False, incremental=False
-    )
+    scratch_kwargs = dict(calibration=synthetic_table, stage_cache=False)
     perturb = lambda design: design  # noqa: E731 — per-scenario hook
     if scenario == "clock-bump":
         inc.clock_mhz = BUMPED_CLOCK_MHZ
@@ -88,39 +87,15 @@ def test_incremental_matches_scratch(
     assert warm.result_digest() == scratch.result_digest()
 
 
-def test_incremental_reuse_actually_happens(synthetic_table):
-    """The pragma-flip path must ride the memos, not silently recompile.
-
-    Guards the equivalence suite against vacuity: if a digest-key change
-    made every memo miss, the tests above would still pass (both sides
-    compile from scratch) while the optimization is silently dead.  A
-    single-pragma flip leaves the untouched loop inside the damage cone's
-    complement: its schedule and RTL replay from the per-loop memos and
-    the placement trajectory prefix is reused.
-    """
-    from repro import obs
-
-    inc = Flow(
-        calibration=synthetic_table, stage_cache=False, incremental=True
-    )
-    inc.run(build_design("genome"), FULL)
-    tracer = obs.Tracer()
-    with obs.activate(tracer):
-        inc.run(_flip_pragma(build_design("genome")), FULL)
-    metrics = tracer.roots[0].aggregate_metrics()
-    assert metrics.counter("incremental.sched_hits") > 0
-    assert metrics.counter("incremental.rtl_hits") > 0
-    assert metrics.counter("placement.trajectory_steps_reused") > 0
-
-
-def test_clock_bump_skips_upstream_of_scheduling(synthetic_table):
+def test_clock_bump_skips_upstream_of_scheduling(synthetic_table, tmp_path):
     """A clock-only change re-runs scheduling but skips everything above.
 
     Pragma lowering and synchronization pruning do not read the clock;
-    their overlay entries must be byte-identical and serve the bumped run.
+    their stored artifacts must serve the bumped run from disk.
     """
     inc = Flow(
-        calibration=synthetic_table, stage_cache=False, incremental=True
+        calibration=synthetic_table,
+        stage_cache=StageArtifactStore(root=str(tmp_path / "stages")),
     )
     inc.run(build_design("genome"), FULL)
     inc.clock_mhz = BUMPED_CLOCK_MHZ
@@ -130,16 +105,5 @@ def test_clock_bump_skips_upstream_of_scheduling(synthetic_table):
     assert actions["sync-pruning"] == "skipped"
     assert actions["scheduling"] == "run"
     assert actions["timing"] == "run"
-
-
-def test_identical_rerun_skips_via_overlay(synthetic_table):
-    """A byte-identical re-run skips every cacheable stage from the overlay."""
-    inc = Flow(
-        calibration=synthetic_table, stage_cache=False, incremental=True
-    )
-    first = inc.run(build_design("genome"), FULL)
-    second = inc.run(build_design("genome"), FULL)
-    assert second.fingerprint() == first.fingerprint()
-    skipped = [e for e in second.journal if e["action"] == "skipped"]
-    assert skipped, "overlay produced no skips on an identical re-run"
-    assert all(e["source"] == "overlay" for e in skipped)
+    skipped = [e for e in result.journal if e["action"] == "skipped"]
+    assert all(e["source"] == "disk" for e in skipped)

@@ -146,8 +146,8 @@ class TestPartialReexecution:
         store = StageArtifactStore(root=str(tmp_path / "stages"))
         flow = Flow(calibration=synthetic_table, stage_cache=store)
         cold = flow.run(make_mini_stream_design(depth=4096), FULL)
-        # A fresh flow instance has no warm in-process state (no
-        # incremental overlay), so every hit must come from disk.
+        # A fresh flow instance has no warm in-process state, so every hit
+        # must come from disk.
         warm_flow = Flow(calibration=synthetic_table, stage_cache=store)
         warm = warm_flow.run(make_mini_stream_design(depth=4096), FULL)
         assert all(j["action"] == "run" for j in cold.journal)
@@ -202,35 +202,11 @@ class TestPartialReexecution:
         assert all(j["action"] == "run" for j in second.journal)
 
     def test_stage_cache_off_never_stores(self, tmp_path, synthetic_table):
-        # incremental=False too: otherwise the per-flow overlay (in-process
-        # only, independent of the stage-cache policy) serves the re-run.
-        flow = Flow(
-            calibration=synthetic_table, stage_cache=False, incremental=False
-        )
+        flow = Flow(calibration=synthetic_table, stage_cache=False)
         first = flow.run(make_mini_stream_design(depth=4096), FULL)
         second = flow.run(make_mini_stream_design(depth=4096), FULL)
         assert all(j["action"] == "run" for j in first.journal + second.journal)
         assert second.fingerprint() == first.fingerprint()
-
-    def test_stage_cache_off_incremental_overlay_still_reuses(
-        self, synthetic_table
-    ):
-        # The incremental overlay is orthogonal to the artifact store: with
-        # the store off, an identical re-run on the same flow instance is
-        # served wholly from memory, bit-identically.
-        flow = Flow(
-            calibration=synthetic_table, stage_cache=False, incremental=True
-        )
-        first = flow.run(make_mini_stream_design(depth=4096), FULL)
-        second = flow.run(make_mini_stream_design(depth=4096), FULL)
-        assert all(j["action"] == "run" for j in first.journal)
-        assert all(
-            j["action"] == "skipped" and j["source"] == "overlay"
-            for j in second.journal
-            if j["cacheable"]
-        )
-        assert second.fingerprint() == first.fingerprint()
-        assert second.result_digest() == first.result_digest()
 
 
 class TestCompareSharing:
