@@ -21,9 +21,12 @@ Artifact-bundling rules (why some outputs re-bind their inputs):
   :class:`~repro.scheduling.schedule.Schedule` holds references to those
   :class:`~repro.ir.ops.Operation` objects.  Storing them in one bundle
   preserves the identity linkage across a pickle round trip.
-* ``replication`` and ``retiming`` re-bind both ``gen`` and ``placement``
-  for the same reason: they rewrite the netlist and the placement as one
-  consistent unit.
+* ``replication`` and ``retiming`` re-bind both ``gen`` and ``placement``:
+  they rewrite the netlist and the placement as one consistent unit.  No
+  object identity crosses the two — a
+  :class:`~repro.rtl.netlist.Netlist` pickles as columns and rebuilds its
+  own cell/net links (see :mod:`repro.rtl.netlist`), and the only other
+  parts of a :class:`~repro.rtl.generator.GenResult` hold no cells.
 * ``placement``/``spreading`` output only ``placement`` — a
   :class:`~repro.physical.placement.Placement` is keyed by cell *name*, so
   it stays coherent against any unpickled copy of the same netlist.

@@ -34,8 +34,10 @@ from typing import Any, Dict, Optional
 from repro.errors import ReproError
 from repro.store import MemoryLru, SidecarStore, namespace_dir
 
-#: Version tag of the on-disk stage entry layout.
-STAGE_STORE_SCHEMA = "repro-stage-store/1"
+#: Version tag of the on-disk stage entry layout.  ``/2``: netlists
+#: pickle as columns (see :mod:`repro.rtl.netlist`), so a ``/1`` payload
+#: cannot be decoded and its entry reads as a miss.
+STAGE_STORE_SCHEMA = "repro-stage-store/2"
 
 #: Default LRU bound.  Stage bundles are smaller than whole-flow results
 #: and a full run writes ~10 of them, so the bound is set to cover several
@@ -129,9 +131,16 @@ class StageArtifactStore(SidecarStore):
         super().__init__(root or namespace_dir("stages"), max_entries)
 
     def get(self, digest: str) -> Optional[StoredStage]:
-        """Look up ``digest``; a hit refreshes the entry's LRU recency."""
+        """Look up ``digest``; a hit refreshes the entry's LRU recency.
+
+        An entry written under another :data:`STAGE_STORE_SCHEMA` is a
+        miss: its payload is never unpickled, and the stage re-runs and
+        overwrites it.
+        """
         entry = self.read_entry(digest)
-        return None if entry is None else StoredStage(digest, *entry)
+        if entry is None or entry[0].get("schema") != STAGE_STORE_SCHEMA:
+            return None
+        return StoredStage(digest, *entry)
 
     def put(self, digest: str, payload: bytes, meta: Dict[str, Any]) -> int:
         """Store one entry atomically, then evict down to ``max_entries``.

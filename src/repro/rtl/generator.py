@@ -81,11 +81,6 @@ class LoopInfo:
     statuses: int = 0
     enable_fanout: int = 0
     skid_specs: List[SkidBufferSpec] = field(default_factory=list)
-    seq_cells: List[Cell] = field(default_factory=list)
-    stage_cells: Dict[int, List[Cell]] = field(default_factory=dict)
-    first_stage_cells: List[Cell] = field(default_factory=list)
-    call_cells: List[Cell] = field(default_factory=list)
-    control_gate: Optional[Cell] = None
 
 
 @dataclass
@@ -184,7 +179,7 @@ def generate_netlist(
             loop_infos.append(info)
             # Each loop gets its own small controller (HLS emits one FSM
             # per process/loop nest) talking only to that loop's flow gate.
-            if info.control_gate is not None:
+            if emitter.control_gate is not None:
                 ctrl = netlist.new_cell(
                     f"fsm_{kernel.name}_{loop.name}",
                     CellKind.CTRL,
@@ -195,7 +190,7 @@ def generate_netlist(
                 netlist.connect(
                     f"fsm_go_{kernel.name}_{loop.name}",
                     ctrl,
-                    [(info.control_gate, "go")],
+                    [(emitter.control_gate, "go")],
                     kind=NetKind.SYNC,
                 )
                 # Sequential loops of one kernel hand off through their
@@ -244,6 +239,15 @@ class _LoopEmitter:
         self.def_cells: Dict[str, Cell] = {}
         #: op name -> cell receiving the op's operand pins
         self.sink_cells: Dict[str, Cell] = {}
+        # Scratch state read only while this loop is emitted.  It stays off
+        # ``LoopInfo`` so the only ``Cell`` references in a ``GenResult``
+        # are the netlist's own (the netlist pickles as columns).
+        #: pipeline stage -> cells emitted in it
+        self.stage_cells: Dict[int, List[Cell]] = {}
+        #: sequential cells, in emission order (the stall enable's sinks)
+        self.seq_cells: List[Cell] = []
+        #: the cell the loop's FSM "go" signal drives, once control exists
+        self.control_gate: Optional[Cell] = None
         self.info = LoopInfo(
             kernel=kernel.name,
             name=loop.name,
@@ -255,11 +259,9 @@ class _LoopEmitter:
     # -- small helpers ---------------------------------------------------
     def _cell(self, stem: str, kind: CellKind, stage: int, **kwargs) -> Cell:
         cell = self.netlist.new_cell(f"{self.prefix}.{stem}", kind, **kwargs)
-        self.info.stage_cells.setdefault(stage, []).append(cell)
+        self.stage_cells.setdefault(stage, []).append(cell)
         if cell.is_sequential:
-            self.info.seq_cells.append(cell)
-        if stage <= 0:
-            self.info.first_stage_cells.append(cell)
+            self.seq_cells.append(cell)
         return cell
 
     def _bank_cells(self, op: Operation) -> List[Cell]:
@@ -443,7 +445,6 @@ class _LoopEmitter:
                 width=op.result.type.bits if op.result is not None else 0,
                 tag=f"call:{op.attrs.get('callee', '?')}",
             )
-            self.info.call_cells.append(cell)
             self.sink_cells[op.name] = cell
             if op.result is not None:
                 # Sub-modules register their outputs (standard interface
@@ -683,7 +684,7 @@ class _LoopEmitter:
             luts=4 + len(statuses) // 3,
             width=1,
         )
-        self.info.control_gate = agg
+        self.control_gate = agg
         for i, fifo_cell in enumerate(statuses):
             self.netlist.connect(
                 f"{self.prefix}.status{i}",
@@ -692,7 +693,7 @@ class _LoopEmitter:
                 kind=NetKind.STATUS,
             )
         targets: List[Tuple[Cell, str]] = []
-        for cell in self.info.seq_cells:
+        for cell in self.seq_cells:
             if cell is agg:
                 continue
             targets.append((cell, "ce"))
@@ -740,7 +741,7 @@ class _LoopEmitter:
         # global comb stall signal.
         for c in range(depth):
             sinks: List[Tuple[Cell, str]] = []
-            for cell in self.info.stage_cells.get(c, []):
+            for cell in self.stage_cells.get(c, []):
                 if cell.kind is CellKind.LOGIC and cell.name.find(".st_") >= 0:
                     sinks.append((cell, "ven"))
             for op in self.loop.body.ops:
@@ -780,7 +781,7 @@ class _LoopEmitter:
             skid_cells.append(cell)
             stage = min(spec.after_stage - 1, depth - 1)
             feeders = [
-                c for c in self.info.stage_cells.get(stage, [])
+                c for c in self.stage_cells.get(stage, [])
                 if c.kind is CellKind.FF and c.width > 1
             ][:4] or [valids[stage]]
             for i, feeder in enumerate(feeders):
@@ -801,7 +802,7 @@ class _LoopEmitter:
             delay_ns=_reduce_tree_delay(len(statuses) + 1),
             luts=4, width=1,
         )
-        self.info.control_gate = gate
+        self.control_gate = gate
         for i, cell in enumerate(statuses):
             self.netlist.connect(
                 f"{self.prefix}.sstat{i}", cell, [(gate, f"s{i}")], kind=NetKind.STATUS
@@ -820,7 +821,7 @@ class _LoopEmitter:
         # in an always-flowing pipeline (invalid slots are just bubbles),
         # which is precisely how the skid scheme sheds the CE broadcast.
         capture: List[Tuple[Cell, str]] = []
-        for cell in self.info.stage_cells.get(0, []):
+        for cell in self.stage_cells.get(0, []):
             if cell.name.find(".rd_") >= 0:
                 capture.append((cell, "ce"))
         self.info.enable_fanout = len(targets) + len(capture)

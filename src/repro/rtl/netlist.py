@@ -28,13 +28,26 @@ Every structural mutation also bumps :attr:`Netlist.mutations`, so caches
 derived from connectivity (the placer's adjacency lists) can tell a
 rewired netlist from an unchanged one even when its cell and net counts
 stay the same.
+
+A netlist pickles as columns, not as an object graph (stage artifacts and
+engine results carry whole netlists, and walking one ``Cell`` and one
+``Net`` at a time dominated their encode cost).  The cell table is
+parallel columns of names, kind codes (``bytes``), delays (``array('d')``),
+area and width (``array('q')``), tags and movable flags (``bytes``); the
+net table holds names, kind codes, widths, the driver's cell index, the
+registration sequence and the sinks in CSR form (offsets, sink cell
+indices, pin strings).  Unpickling rebuilds the cells, the nets and both
+connectivity indexes in one pass, so every ``Cell`` a net references is
+the object in ``cells`` and the index order is the maintained one.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from itertools import accumulate
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import RTLError
 
@@ -142,15 +155,6 @@ class Net:
         #: Registration sequence number within the owner (insertion order).
         self._seq: int = -1
 
-    # Support pickling despite __slots__ (FlowResults cross process
-    # boundaries in the experiment engine).
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     @property
     def driver(self) -> Cell:
         return self._driver
@@ -215,16 +219,107 @@ class Netlist:
         #: Structural mutation counter (process-local; not pickled).
         self.mutations: int = 0
 
-    # The mutation counter is cache-validation state, not netlist content:
-    # pickles (stage artifacts, engine results) stay exactly as before, and
-    # an unpickled netlist starts a fresh count.
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("mutations", None)
-        return state
+    # -- pickling -----------------------------------------------------------
+    def __getstate__(self) -> Dict[str, Any]:
+        """The columnar pickle state (see the module docstring).
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+        Neither connectivity index is written: both are derived, and
+        :meth:`__setstate__` rebuilds them.  The mutation counter is
+        cache-validation state, not netlist content, so it is dropped too.
+        """
+        cells = list(self.cells.values())
+        nets = list(self.nets.values())
+        index = {name: i for i, name in enumerate(self.cells)}
+        # Kind codes keyed by identity: Enum.__hash__ is a Python-level
+        # call, and these lookups run once per cell and per net.
+        cell_code = {id(kind): code for code, kind in enumerate(CellKind)}
+        net_code = {id(kind): code for code, kind in enumerate(NetKind)}
+        sinks = [sink for net in nets for sink in net._sinks]
+        return {
+            "name": self.name,
+            "net_counter": self._net_counter,
+            # Code tables: a kind's code is its position here, so a reorder
+            # of the enums cannot misread an existing pickle.
+            "cell_kinds": [kind.value for kind in CellKind],
+            "net_kinds": [kind.value for kind in NetKind],
+            "cell_name": list(self.cells),
+            "cell_kind": bytes([cell_code[id(c.kind)] for c in cells]),
+            "cell_delay_ns": array("d", [c.delay_ns for c in cells]),
+            "cell_luts": array("q", [c.luts for c in cells]),
+            "cell_ffs": array("q", [c.ffs for c in cells]),
+            "cell_brams": array("q", [c.brams for c in cells]),
+            "cell_dsps": array("q", [c.dsps for c in cells]),
+            "cell_width": array("q", [c.width for c in cells]),
+            "cell_tag": [c.tag for c in cells],
+            "cell_movable": bytes([c.movable for c in cells]),
+            "net_name": [net.name for net in nets],
+            "net_kind": bytes([net_code[id(net.kind)] for net in nets]),
+            "net_width": array("q", [net.width for net in nets]),
+            "net_driver": array("q", [index[net._driver.name] for net in nets]),
+            "net_seq": array("q", [net._seq for net in nets]),
+            # Sinks in CSR form: net i's sinks are entries
+            # offsets[i]:offsets[i + 1] of the two sink columns.
+            "sink_offsets": array(
+                "q", accumulate((len(net._sinks) for net in nets), initial=0)
+            ),
+            "sink_cell": array("q", [index[cell.name] for cell, _pin in sinks]),
+            "sink_pin": [pin for _cell, pin in sinks],
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Rebuild cells, nets and both indexes from the columnar state.
+
+        Nets come back in ``nets`` dict order, which is ``_seq`` order, so
+        one pass over them appends every per-cell index entry in
+        ``(net seq, sink position)`` order — the order the maintained
+        indexes keep.
+        """
+        cell_kinds = [CellKind(value) for value in state["cell_kinds"]]
+        net_kinds = [NetKind(value) for value in state["net_kinds"]]
+        names = state["cell_name"]
+        cells = [
+            Cell(name, cell_kinds[kind], delay, luts, ffs, brams, dsps, tag,
+                 movable == 1, width)
+            for name, kind, delay, luts, ffs, brams, dsps, tag, movable, width
+            in zip(
+                names, state["cell_kind"], state["cell_delay_ns"],
+                state["cell_luts"], state["cell_ffs"], state["cell_brams"],
+                state["cell_dsps"], state["cell_tag"], state["cell_movable"],
+                state["cell_width"],
+            )
+        ]
+        pins_of: List[List[Tuple[Net, str]]] = [[] for _ in cells]
+        driven_of: List[List[Net]] = [[] for _ in cells]
+        offsets, sink_cell, sink_pin = (
+            state["sink_offsets"], state["sink_cell"], state["sink_pin"]
+        )
+        nets: Dict[str, Net] = {}
+        new_net = Net.__new__
+        for i, (name, kind, width, driver, seq) in enumerate(zip(
+            state["net_name"], state["net_kind"], state["net_width"],
+            state["net_driver"], state["net_seq"],
+        )):
+            net = new_net(Net)
+            net.name = name
+            net.kind = net_kinds[kind]
+            net.width = width
+            net._driver = cells[driver]
+            net._owner = self
+            net._seq = seq
+            lo, hi = offsets[i], offsets[i + 1]
+            sinks = []
+            for c, pin in zip(sink_cell[lo:hi], sink_pin[lo:hi]):
+                sinks.append((cells[c], pin))
+                pins_of[c].append((net, pin))
+            net._sinks = sinks
+            driven_of[driver].append(net)
+            nets[name] = net
+        self.name = state["name"]
+        self.cells = dict(zip(names, cells))
+        self.nets = nets
+        self._net_counter = state["net_counter"]
+        self._input_pins = dict(zip(names, pins_of))
+        self._driver_nets = dict(zip(names, driven_of))
         self.mutations = 0
 
     # -- construction ------------------------------------------------------

@@ -32,8 +32,9 @@ from repro.flow import FlowResult
 from repro.service.request import FlowRequest
 from repro.store import SidecarStore, namespace_dir
 
-#: Version tag of the on-disk entry layout.
-STORE_SCHEMA = "repro-result-store/1"
+#: Version tag of the on-disk entry layout.  ``/2``: the netlist inside a
+#: ``FlowResult`` pickles as columns, so a ``/1`` entry reads as a miss.
+STORE_SCHEMA = "repro-result-store/2"
 
 #: Default LRU bound.  A FlowResult pickle runs tens of KB to a few MB
 #: depending on design depth; 256 entries keeps the store well under a GB
@@ -81,9 +82,15 @@ class ResultStore(SidecarStore):
         super().__init__(root or namespace_dir("results"), max_entries)
 
     def get(self, digest: str) -> Optional[StoredResult]:
-        """Look up ``digest``; a hit refreshes the entry's LRU recency."""
+        """Look up ``digest``; a hit refreshes the entry's LRU recency.
+
+        An entry written under another :data:`STORE_SCHEMA` is a miss: its
+        payload is never unpickled, and the next compile overwrites it.
+        """
         entry = self.read_entry(digest)
-        return None if entry is None else StoredResult(digest, *entry)
+        if entry is None or entry[0].get("schema") != STORE_SCHEMA:
+            return None
+        return StoredResult(digest, *entry)
 
     def load_result(self, digest: str) -> Optional[FlowResult]:
         """Convenience: ``get`` + ``load`` in one call."""

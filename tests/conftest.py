@@ -8,13 +8,18 @@ their factor sweeps.
 
 from __future__ import annotations
 
+import copyreg
+import io
+import json
 import os
+import pickle
 
 import pytest
 
 from repro.delay.calibrated import CalibratedDelayModel, CalibrationTable
 from repro.flow import Flow
 from repro.ir.program import Design
+from repro.rtl.netlist import Netlist
 from repro.testing import (
     stream_to_buffer_design,
     synthetic_calibration,
@@ -75,3 +80,40 @@ def mini_design() -> Design:
 @pytest.fixture()
 def unrolled_design() -> Design:
     return make_unrolled_compute_design()
+
+
+class _SchemaOnePickler(pickle.Pickler):
+    """Pickles netlists the way stage-store and result-store schema ``/1``
+    did: the whole instance ``__dict__``, cells and nets as objects."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, Netlist):
+            state = {k: v for k, v in vars(obj).items() if k != "mutations"}
+            return copyreg.__newobj__, (Netlist,), state
+        return NotImplemented
+
+
+def schema_one_pickle(obj: object) -> bytes:
+    """``obj`` pickled with any netlists in it in the schema-``/1`` layout,
+    which today's :class:`Netlist` cannot unpickle."""
+    buffer = io.BytesIO()
+    _SchemaOnePickler(buffer, protocol=4).dump(obj)
+    return buffer.getvalue()
+
+
+def plant_schema_one_result(store, digest: str) -> None:
+    """Rewrite result-store entry ``digest`` as schema ``/1`` wrote it:
+    same request digest, ``/1`` sidecar, object-graph netlist payload."""
+    result = store.load_result(digest)
+    with open(store._meta_path(digest)) as handle:
+        meta = json.load(handle)
+    meta["schema"] = "repro-result-store/1"
+    payload = schema_one_pickle(
+        {"schema": "repro-result-store/1", "meta": meta, "result": result}
+    )
+    with pytest.raises(KeyError):
+        pickle.loads(payload)  # what a hit would have done
+    with open(store._payload_path(digest), "wb") as handle:
+        handle.write(payload)
+    with open(store._meta_path(digest), "w") as handle:
+        json.dump(meta, handle)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import pickle
+
 import pytest
 
 from repro import obs
+from repro.designs import build_design
 from repro.errors import ReproError
 from repro.flow import Flow
 from repro.ir.program import Design
@@ -14,13 +18,14 @@ from repro.pipeline import (
     Stage,
     StageArtifactStore,
     build_stages,
+    decode_outputs,
     design_digest,
     encode_outputs,
     table_digest,
 )
 from repro.pipeline import stages as stages_mod
 
-from conftest import make_mini_stream_design, make_synthetic_table
+from conftest import make_mini_stream_design, make_synthetic_table, schema_one_pickle
 
 
 def _counter_values(tracer, skip_prefix="pipeline."):
@@ -207,6 +212,74 @@ class TestPartialReexecution:
         second = flow.run(make_mini_stream_design(depth=4096), FULL)
         assert all(j["action"] == "run" for j in first.journal + second.journal)
         assert second.fingerprint() == first.fingerprint()
+
+    def test_partial_warm_resume_runs_physical_stages_on_a_decoded_netlist(
+        self, tmp_path, synthetic_table
+    ):
+        """A new placement seed reuses pragmas…rtl-gen from the store, so
+        placement, replication, retiming and STA all run on an unpickled
+        netlist — and must reproduce an uncached run at that seed."""
+        store = StageArtifactStore(root=str(tmp_path / "stages"))
+        Flow(seed=2020, calibration=synthetic_table, stage_cache=store).run(
+            build_design("matmul"), BASELINE
+        )
+        resumed = Flow(seed=7, calibration=synthetic_table, stage_cache=store).run(
+            build_design("matmul"), BASELINE
+        )
+        plain = Flow(seed=7, calibration=synthetic_table, stage_cache=False).run(
+            build_design("matmul"), BASELINE
+        )
+        by_stage = {j["stage"]: j["action"] for j in resumed.journal}
+        for name in ("pragmas", "sync-pruning", "scheduling", "ii-analysis", "rtl-gen"):
+            assert by_stage[name] == "skipped", resumed.journal
+        for name in ("placement", "spreading", "replication", "retiming", "timing"):
+            assert by_stage[name] == "run", resumed.journal
+        assert resumed.fingerprint() == plain.fingerprint()
+        assert resumed.result_digest() == plain.result_digest()
+
+
+class TestLegacyEntries:
+    def test_schema_one_stage_entries_are_misses(self, tmp_path, synthetic_table):
+        """Entries an older release wrote under the same digests (schema
+        ``/1``, netlists pickled as object graphs) must re-run their
+        stages, never reach the unpickler."""
+        root = tmp_path / "stages"
+        store = StageArtifactStore(root=str(root))
+        cold = Flow(calibration=synthetic_table, stage_cache=store).run(
+            build_design("matmul"), BASELINE
+        )
+        planted = 0
+        for meta in store.entries():
+            digest = meta["digest"]
+            payload = root / f"{digest}.pkl"
+            outputs = decode_outputs(payload.read_bytes())
+            legacy = schema_one_pickle(
+                {"schema": "repro-stage-store/1", "stage": meta["stage"],
+                 "outputs": outputs}
+            )
+            if meta["stage"] == "rtl-gen":
+                with pytest.raises(KeyError):
+                    pickle.loads(legacy)  # what a hit would have done
+            payload.write_bytes(legacy)
+            meta = {k: v for k, v in meta.items() if k != "_mtime"}
+            meta["schema"] = "repro-stage-store/1"
+            (root / f"{digest}.json").write_text(json.dumps(meta))
+            planted += 1
+        assert planted == sum(1 for j in cold.journal if j["cacheable"])
+
+        again = Flow(calibration=synthetic_table, stage_cache=store).run(
+            build_design("matmul"), BASELINE
+        )
+        assert all(j["action"] == "run" for j in again.journal), again.journal
+        assert again.result_digest() == cold.result_digest()
+        # The re-run overwrote the legacy entries: the next run is warm.
+        warm = Flow(calibration=synthetic_table, stage_cache=store).run(
+            build_design("matmul"), BASELINE
+        )
+        assert all(
+            j["action"] == "skipped" for j in warm.journal if j["cacheable"]
+        )
+        assert warm.result_digest() == cold.result_digest()
 
 
 class TestCompareSharing:

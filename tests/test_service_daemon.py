@@ -22,6 +22,8 @@ from repro.service.request import FlowRequest
 from repro.service.store import ResultStore
 from repro.service.worker import execute_request, worker_entry
 
+from conftest import plant_schema_one_result
+
 #: Env vars used to parameterize the module-level entry wrappers (fork and
 #: spawn both inherit the environment; closures would not survive spawn).
 GATE_ENV = "REPRO_TEST_GATE"
@@ -133,6 +135,40 @@ class TestCoalescing:
             assert how == "store"
             assert job2.state == "done"
             assert job2.result_digest == job.result_digest
+
+        _run(scenario())
+
+    def test_schema_one_store_entry_is_recompiled(self, tmp_path):
+        """A result entry an older release wrote under the same request
+        digest must not be served: the daemon recompiles and stores a
+        readable entry with the same result digest."""
+
+        async def scenario():
+            request = FlowRequest.make("matmul", config="orig")
+            service = _service(tmp_path, workers=1)
+            await service.start()
+            try:
+                job, _ = service.submit(request)
+                await service.wait(job, timeout=180)
+            finally:
+                await service.stop()
+            store = ResultStore(str(tmp_path / "results"))
+            plant_schema_one_result(store, request.digest())
+
+            service2 = _service(tmp_path, workers=1)
+            await service2.start()
+            try:
+                job2, how = service2.submit(request)
+                assert how == "queued"
+                await service2.wait(job2, timeout=180)
+                assert job2.state == "done"
+                assert job2.served_from == "compile"
+                assert job2.result_digest == job.result_digest
+            finally:
+                await service2.stop()
+            assert store.load_result(request.digest()).result_digest() == (
+                job.result_digest
+            )
 
         _run(scenario())
 

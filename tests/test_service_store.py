@@ -15,6 +15,8 @@ from repro.opt import BASELINE
 from repro.service.request import FlowRequest
 from repro.service.store import STORE_SCHEMA, ResultStore
 
+from conftest import plant_schema_one_result
+
 
 @pytest.fixture(scope="module")
 def flow_result(synthetic_table):
@@ -118,6 +120,21 @@ class TestDurability:
             pickle.dump({"schema": "something-else/9"}, handle)
         with pytest.raises(ReproError, match="schema"):
             store.get(request.digest()).load()
+
+    def test_schema_one_entry_is_a_miss(self, store, flow_result):
+        """An entry an older release wrote under the same request digest
+        (schema ``/1``, netlist pickled as an object graph) reads as a
+        miss without being unpickled."""
+        request = _request()
+        store.put(request, flow_result)
+        plant_schema_one_result(store, request.digest())
+        assert store.get(request.digest()) is None
+        assert store.load_result(request.digest()) is None
+        # The next put replaces it with a readable entry.
+        store.put(request, flow_result)
+        assert store.load_result(request.digest()).result_digest() == (
+            flow_result.result_digest()
+        )
 
 
 class TestLru:
